@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ShapeError
-from .masking import PartitionMask
+from .masking import PartitionMask, sparse_payload_bytes
 
 MB = 1_000_000  # metrics use SI megabytes
 
@@ -63,7 +63,7 @@ def traffic_per_round(
     if encoding == "dense-f32":
         payload = mask.trainable_fraction * comm.full_model_bytes
     elif encoding == "sparse-idx32-f32":
-        payload = 16.0 + 8.0 * mask.trainable_count
+        payload = float(sparse_payload_bytes(mask.trainable_count))
     else:
         raise ShapeError(f"unknown encoding {encoding!r}")
     return payload + comm.per_message_overhead_bytes

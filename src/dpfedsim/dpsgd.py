@@ -193,6 +193,8 @@ def dp_step(
         m_hat = state.m / (1.0 - cfg.adam_beta1**step_index)
         v_hat = state.v / (1.0 - cfg.adam_beta2**step_index)
         update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if not all(np.isfinite(x).all() for x in (state.m, state.v, update)):
+            raise NumericError(f"adam moments or update not finite at step {step_index}")
     else:
         update = grad
     values = params.values.copy()

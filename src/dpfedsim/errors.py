@@ -13,6 +13,10 @@ class NumericError(DpFedSimError, ArithmeticError):
     """Non-finite values or numerical divergence."""
 
 
+class NonFiniteUpdateError(NumericError, ShapeError):
+    """Non-finite update values; still a ShapeError for callers that caught one."""
+
+
 class DomainError(DpFedSimError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 

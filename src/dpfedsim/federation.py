@@ -233,9 +233,9 @@ def run_local(
 ) -> MaskedUpdate:
     """One client's private local training for one round.
 
-    Per batch: per-sample gradients restricted to the trainable coordinates,
-    clipped, averaged with seeded Gaussian noise, then applied.  The
-    broadcast parameters are never modified; tau counts optimizer steps.
+    Per batch: per-sample gradients of the trainable layers only, clipped,
+    averaged with seeded Gaussian noise, then applied.  The broadcast
+    parameters are never modified; tau counts optimizer steps.
     """
     if local_epochs < 1:
         raise ShapeError("local_epochs must be >= 1")
@@ -247,7 +247,7 @@ def run_local(
             if batch_idx.size == 0:
                 continue  # poisson sampling may draw an empty batch
             batch = client.data.take(batch_idx)
-            grads = per_sample_gradients(spec, w, batch)[:, mask.indices]
+            grads = per_sample_gradients(spec, w, batch, layers=mask.selected_layers)
             clipped = clip_per_sample(grads, dp.clip_norm)
             noise_seed = derive_seed(
                 client.rng_seed, STREAM_NOISE, round_index, epoch, batch_no

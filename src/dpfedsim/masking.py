@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProtocolError, ShapeError
+from .errors import NonFiniteUpdateError, ProtocolError, ShapeError
 from .models import Layout, ParameterVector
 
 ENCODINGS = ("dense-f32", "sparse-idx32-f32")
@@ -91,7 +91,7 @@ class MaskedUpdate:
         if self.indices.size and np.any(np.diff(self.indices) <= 0):
             raise ShapeError("update indices must be strictly increasing")
         if not np.all(np.isfinite(self.deltas)):
-            raise ShapeError("update deltas must be finite")
+            raise NonFiniteUpdateError("update deltas must be finite")
 
     @property
     def entry_count(self) -> int:
@@ -127,6 +127,11 @@ def apply_masked_update(w_old: ParameterVector, update: MaskedUpdate) -> Paramet
     return ParameterVector(values, w_old.layout)
 
 
+def sparse_payload_bytes(entry_count: int) -> int:
+    """Modeled sparse-idx32-f32 payload: a fixed header plus (index, value) pairs."""
+    return SPARSE_HEADER_BYTES + 8 * entry_count
+
+
 def payload_bytes(update: MaskedUpdate, encoding: str = "dense-f32") -> int:
     """Modeled upstream bytes for one update.
 
@@ -137,7 +142,7 @@ def payload_bytes(update: MaskedUpdate, encoding: str = "dense-f32") -> int:
     if encoding == "dense-f32":
         return 4 * update.entry_count
     if encoding == "sparse-idx32-f32":
-        return SPARSE_HEADER_BYTES + 8 * update.entry_count
+        return sparse_payload_bytes(update.entry_count)
     raise ShapeError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
 
 

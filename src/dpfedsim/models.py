@@ -1,20 +1,24 @@
 """Tiny differentiable models with exact per-example gradients.
 
-Three model kinds stand in for a large video backbone at desk scale:
+Every kind is one stack of affine layers ``z = a @ W.T + b`` plus a loss head,
+standing in for a large video backbone at desk scale:
 
-* ``linear``   -- linear regression, 0.5 * squared-error loss
-* ``logistic`` -- binary logistic regression (single sigmoid logit)
-* ``mlp``      -- one hidden layer (relu or tanh), softmax cross-entropy
+* ``linear``   -- ``[head(in->1)]``, 0.5 * squared-error loss
+* ``logistic`` -- ``[head(in->1)]``, one sigmoid logit, binary cross-entropy
+* ``mlp``      -- ``[hidden(in->h, relu|tanh), head(h->out)]``, softmax cross-entropy
 
 Parameters live in a single flat float64 vector with named, contiguous layer
-ranges, which makes freezing and transport pure index operations.  All
-operations are pure functions; gradients are computed by hand-rolled
-vectorized backprop and are checked against finite differences in the tests.
+ranges, which makes freezing and transport pure index operations.  Layout,
+initialization, the forward pass and both gradient forms are one walk over
+the stack; gradients are hand-rolled vectorized backprop, checked against
+finite differences in the tests.  ``per_sample_gradients(..., layers=names)``
+stops backprop at the lowest layer that owns one of the named parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +26,11 @@ from .errors import NumericError, ShapeError
 from .rng import STREAM_INIT, derive_seed, generator
 
 KINDS = ("linear", "logistic", "mlp")
-ACTIVATIONS = ("relu", "tanh")
+# activation name -> (function, its derivative given the pre- and post-activation)
+ACTIVATIONS = {
+    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, post: (pre > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda pre, post: 1.0 - post * post),
+}
 
 Layout = tuple[tuple[str, int, int], ...]
 
@@ -47,7 +55,7 @@ class ModelSpec:
                 raise ShapeError("mlp requires hidden_dim >= 1")
             if self.activation not in ACTIVATIONS:
                 raise ShapeError(
-                    f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
+                    f"unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}"
                 )
         else:
             if self.hidden_dim != 0:
@@ -62,35 +70,40 @@ class ModelSpec:
         return self.kind in ("logistic", "mlp")
 
 
+class _Affine(NamedTuple):
+    """One layer of the stack: ``z = a @ W.T + b``, then ``activation`` if set."""
+
+    weight: str  # parameter names
+    bias: str
+    fan_in: int
+    fan_out: int
+    activation: str | None = None
+
+
+def _stack(spec: ModelSpec) -> tuple[_Affine, ...]:
+    """The model's layers, bottom first; the last one feeds the loss head."""
+    width = _HEADS[spec.kind][1] or spec.output_dim
+    if spec.hidden_dim == 0:
+        return (_Affine("head.weight", "head.bias", spec.input_dim, width),)
+    return (
+        _Affine("hidden.weight", "hidden.bias", spec.input_dim, spec.hidden_dim, spec.activation),
+        _Affine("head.weight", "head.bias", spec.hidden_dim, width),
+    )
+
+
 def layer_layout(spec: ModelSpec) -> Layout:
     """Ordered (name, offset, length) ranges of the flat parameter vector."""
-    if spec.kind == "mlp":
-        sizes = [
-            ("hidden.weight", spec.hidden_dim * spec.input_dim),
-            ("hidden.bias", spec.hidden_dim),
-            ("head.weight", spec.output_dim * spec.hidden_dim),
-            ("head.bias", spec.output_dim),
-        ]
-    elif spec.kind == "logistic":
-        # single logit: one weight row plus a scalar bias
-        sizes = [("head.weight", spec.input_dim), ("head.bias", 1)]
-    else:
-        sizes = [
-            ("head.weight", spec.output_dim * spec.input_dim),
-            ("head.bias", spec.output_dim),
-        ]
-    layout = []
-    offset = 0
-    for name, length in sizes:
-        layout.append((name, offset, length))
-        offset += length
+    layout, offset = [], 0
+    for layer in _stack(spec):
+        layout.append((layer.weight, offset, layer.fan_out * layer.fan_in))
+        offset += layer.fan_out * layer.fan_in
+        layout.append((layer.bias, offset, layer.fan_out))
+        offset += layer.fan_out
     return tuple(layout)
 
 
 def parameter_count(spec: ModelSpec) -> int:
-    layout = layer_layout(spec)
-    name, offset, length = layout[-1]
-    return offset + length
+    return sum(layer.fan_out * (layer.fan_in + 1) for layer in _stack(spec))
 
 
 @dataclass
@@ -188,37 +201,73 @@ def _check_inputs(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) 
             )
 
 
-def _class_targets(batch: SampleBatch) -> np.ndarray:
-    return batch.targets.astype(np.int64)
+# Loss heads map the stack's outputs z and the targets to per-sample losses,
+# predictions and the output delta dloss/dz.  They are the only per-kind code.
+def _squared_error(z: np.ndarray, targets: np.ndarray):
+    resid = z - targets.astype(np.float64)[:, None]
+    return 0.5 * np.sum(resid * resid, axis=1), z, resid
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _binary_logit(z: np.ndarray, targets: np.ndarray):
+    z = z[:, 0]
+    y = targets.astype(np.int64).astype(np.float64)
+    # -[y log p + (1-y) log(1-p)] in the overflow-safe form
+    losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    p = np.empty_like(z)  # sigmoid(z), split by sign so exp never overflows
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    p[~pos] = ez / (1.0 + ez)
+    return losses, np.column_stack([1.0 - p, p]), (p - y)[:, None]
 
 
-def _mlp_unpack(spec: ModelSpec, params: ParameterVector):
-    w1 = params.layer("hidden.weight").reshape(spec.hidden_dim, spec.input_dim)
-    b1 = params.layer("hidden.bias")
-    w2 = params.layer("head.weight").reshape(spec.output_dim, spec.hidden_dim)
-    b2 = params.layer("head.bias")
-    return w1, b1, w2, b2
+def _softmax_cross_entropy(z: np.ndarray, targets: np.ndarray):
+    # a stabilized log-sum-exp keeps losses finite for any finite parameters
+    y = targets.astype(np.int64)
+    rows = np.arange(z.shape[0])
+    zmax = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - zmax)
+    total = ez.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
+    delta = ez / total
+    delta[rows, y] -= 1.0
+    return lse - z[rows, y], np.exp(z - lse[:, None]), delta
 
 
-def _activation(spec: ModelSpec, pre: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return np.maximum(pre, 0.0)
-    return np.tanh(pre)
+# kind -> (loss head, width of the head layer; None means output_dim)
+_HEADS = {
+    "linear": (_squared_error, None),
+    "logistic": (_binary_logit, 1),
+    "mlp": (_softmax_cross_entropy, None),
+}
 
 
-def _activation_grad(spec: ModelSpec, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return (pre > 0.0).astype(np.float64)
-    return 1.0 - post * post
+def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray) -> list:
+    """Forward pass; per layer, bottom first: (layer, W, input a, pre-activation z)."""
+    steps, a = [], x
+    for layer in _stack(spec):
+        w = params.layer(layer.weight).reshape(layer.fan_out, layer.fan_in)
+        z = a @ w.T + params.layer(layer.bias)
+        steps.append((layer, w, a, z))
+        a = ACTIVATIONS[layer.activation][0](z) if layer.activation else z
+    return steps
+
+
+def _backprop(spec: ModelSpec, params: ParameterVector, batch: SampleBatch, names, divisor=1):
+    """Yield (layer, input activation, output delta) from the head down to the
+    lowest layer that owns one of ``names``; no delta is formed below it.  The
+    head's delta is divided by ``divisor`` before it is propagated."""
+    steps = _walk(spec, params, batch.inputs)
+    owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & names]
+    lowest = owners[0] if owners else len(steps)
+    dz = _HEADS[spec.kind][0](steps[-1][3], batch.targets)[2]
+    dz /= divisor
+    for i in range(len(steps) - 1, lowest - 1, -1):
+        layer, w, a, _ = steps[i]
+        yield layer, a, dz
+        if i > lowest:
+            below, _, _, pre = steps[i - 1]
+            dz = (dz @ w) * ACTIVATIONS[below.activation][1](pre, a)
 
 
 def forward(
@@ -227,137 +276,76 @@ def forward(
     """Per-sample losses and predictions.
 
     Predictions are class probabilities for classifiers (shape
-    [batch x output_dim]) and raw outputs for regression.  Cross-entropy is
-    evaluated through a stabilized log-sum-exp so losses stay finite for any
-    finite parameters.
+    [batch x output_dim]) and raw outputs for regression.
     """
     _check_inputs(spec, params, batch)
-    x = batch.inputs
-    if spec.kind == "linear":
-        w = params.layer("head.weight").reshape(spec.output_dim, spec.input_dim)
-        b = params.layer("head.bias")
-        pred = x @ w.T + b
-        resid = pred - batch.targets.astype(np.float64)[:, None]
-        losses = 0.5 * np.sum(resid * resid, axis=1)
-        return losses, pred
-    if spec.kind == "logistic":
-        w = params.layer("head.weight")
-        b = params.layer("head.bias")[0]
-        z = x @ w + b
-        y = _class_targets(batch).astype(np.float64)
-        # -[y log p + (1-y) log(1-p)] in the overflow-safe form
-        losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-        p = _sigmoid(z)
-        return losses, np.column_stack([1.0 - p, p])
-    w1, b1, w2, b2 = _mlp_unpack(spec, params)
-    pre = x @ w1.T + b1
-    hidden = _activation(spec, pre)
-    logits = hidden @ w2.T + b2
-    y = _class_targets(batch)
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.sum(np.exp(logits - zmax), axis=1))
-    losses = lse - logits[np.arange(batch.size), y]
-    probs = np.exp(logits - lse[:, None])
-    return losses, probs
+    z = _walk(spec, params, batch.inputs)[-1][3]
+    return _HEADS[spec.kind][0](z, batch.targets)[:2]
 
 
 def per_sample_gradients(
-    spec: ModelSpec, params: ParameterVector, batch: SampleBatch
+    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, layers=None
 ) -> np.ndarray:
     """Matrix of per-example loss gradients, one row per sample.
 
-    Row i is the gradient of sample i's loss with respect to the flat
-    parameter vector, in layout order.
+    Row i is the gradient of sample i's loss with respect to the parameters
+    named in ``layers`` (default: all), in layout order: those columns of the
+    full matrix, bit for bit.  Backprop stops at the lowest layer that owns
+    one of them.  The matrix is column-major; the private step sums row norms
+    and batch means in that order, so the layout is part of a run's bits.
     """
     _check_inputs(spec, params, batch)
-    x = batch.inputs
+    layout = layer_layout(spec)
+    names = {name for name, _, _ in layout} if layers is None else set(layers)
+    spans, width = {}, 0
+    for name, _, length in layout:
+        if name in names:
+            spans[name] = slice(width, width + length)
+            width += length
+    if len(spans) < len(names):
+        known = [name for name, _, _ in layout]
+        raise ShapeError(f"unknown layers {sorted(names - set(spans))}; layout has {known}")
     n = batch.size
-    if spec.kind == "linear":
-        w = params.layer("head.weight").reshape(spec.output_dim, spec.input_dim)
-        b = params.layer("head.bias")
-        resid = x @ w.T + b - batch.targets.astype(np.float64)[:, None]
-        gw = np.einsum("no,ni->noi", resid, x).reshape(n, -1)
-        return np.concatenate([gw, resid], axis=1)
-    if spec.kind == "logistic":
-        w = params.layer("head.weight")
-        b = params.layer("head.bias")[0]
-        dz = _sigmoid(x @ w + b) - _class_targets(batch).astype(np.float64)
-        return np.concatenate([dz[:, None] * x, dz[:, None]], axis=1)
-    w1, b1, w2, b2 = _mlp_unpack(spec, params)
-    pre = x @ w1.T + b1
-    hidden = _activation(spec, pre)
-    logits = hidden @ w2.T + b2
-    zmax = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - zmax)
-    dz = ez / ez.sum(axis=1, keepdims=True)
-    dz[np.arange(n), _class_targets(batch)] -= 1.0
-    g_w2 = np.einsum("no,nh->noh", dz, hidden).reshape(n, -1)
-    dh = (dz @ w2) * _activation_grad(spec, pre, hidden)
-    g_w1 = np.einsum("nh,ni->nhi", dh, x).reshape(n, -1)
-    return np.concatenate([g_w1, dh, g_w2, dz], axis=1)
+    cols = np.empty((width, n))  # the transposed result, one row per parameter
+    for layer, a, dz in _backprop(spec, params, batch, names):
+        if layer.weight in spans:
+            out = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
+            np.einsum("no,ni->oin", dz, a, out=out)
+        if layer.bias in spans:
+            cols[spans[layer.bias]] = dz.T
+    return cols.T
 
 
 def mean_gradient(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) -> np.ndarray:
     """Gradient of the batch-mean loss, computed in accumulated (matmul) form.
 
-    Deliberately a separate code path from per_sample_gradients; the two are
-    cross-checked against each other in the tests.
+    The same walk as per_sample_gradients, reduced over the batch by
+    contraction instead of forming rows; the tests cross-check the two.
     """
     _check_inputs(spec, params, batch)
-    x = batch.inputs
     n = batch.size
-    if spec.kind == "linear":
-        w = params.layer("head.weight").reshape(spec.output_dim, spec.input_dim)
-        b = params.layer("head.bias")
-        resid = x @ w.T + b - batch.targets.astype(np.float64)[:, None]
-        gw = resid.T @ x / n
-        return np.concatenate([gw.ravel(), resid.mean(axis=0)])
-    if spec.kind == "logistic":
-        w = params.layer("head.weight")
-        b = params.layer("head.bias")[0]
-        dz = _sigmoid(x @ w + b) - _class_targets(batch).astype(np.float64)
-        return np.concatenate([x.T @ dz / n, [dz.mean()]])
-    w1, b1, w2, b2 = _mlp_unpack(spec, params)
-    pre = x @ w1.T + b1
-    hidden = _activation(spec, pre)
-    logits = hidden @ w2.T + b2
-    zmax = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - zmax)
-    dz = ez / ez.sum(axis=1, keepdims=True)
-    dz[np.arange(n), _class_targets(batch)] -= 1.0
-    dz /= n
-    g_w2 = dz.T @ hidden
-    g_b2 = dz.sum(axis=0)
-    dh = (dz @ w2) * _activation_grad(spec, pre, hidden)
-    g_w1 = dh.T @ x
-    g_b1 = dh.sum(axis=0)
-    return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    # The 1/n stays where each kind has always applied it, since moving it
+    # changes low bits (the golden tests pin pretrained mlp parameters): a
+    # stack with a hidden layer divides the head's delta before backprop, a
+    # single layer divides after contracting.
+    before, after = (n, 1) if spec.hidden_dim else (1, n)
+    names = {name for name, _, _ in layer_layout(spec)}
+    blocks = []
+    for layer, a, dz in _backprop(spec, params, batch, names, before):
+        blocks.append(dz.sum(axis=0) / after)
+        blocks.append((dz.T @ a / after).ravel())
+    return np.concatenate(blocks[::-1])
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     """Seeded initialization: uniform weights in [-a, a] with
     a = sqrt(6 / (fan_in + fan_out)), zero biases."""
-    layout = layer_layout(spec)
-    values = np.zeros(parameter_count(spec))
     rng = generator(derive_seed(seed, STREAM_INIT))
-    fans = _fan_table(spec)
-    for name, offset, length in layout:
-        if name.endswith(".weight"):
-            fan_in, fan_out = fans[name]
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            values[offset : offset + length] = rng.uniform(-a, a, size=length)
-    return ParameterVector(values, layout)
-
-
-def _fan_table(spec: ModelSpec) -> dict[str, tuple[int, int]]:
-    if spec.kind == "mlp":
-        return {
-            "hidden.weight": (spec.input_dim, spec.hidden_dim),
-            "head.weight": (spec.hidden_dim, spec.output_dim),
-        }
-    if spec.kind == "logistic":
-        return {"head.weight": (spec.input_dim, 1)}
-    return {"head.weight": (spec.input_dim, spec.output_dim)}
+    blocks = []
+    for layer in _stack(spec):
+        a = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
+        blocks += [rng.uniform(-a, a, size=layer.fan_out * layer.fan_in), np.zeros(layer.fan_out)]
+    return ParameterVector(np.concatenate(blocks), layer_layout(spec))
 
 
 def save_params(params: ParameterVector, path) -> None:

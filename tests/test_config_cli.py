@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dpfedsim import ConfigError, parse_config, resolve_raw, sigma_for_target
-from dpfedsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from dpfedsim import ConfigError, parse_config, resolve_raw, run_experiment, sigma_for_target
+from dpfedsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.config import load_dataset, rendered_raw
 from dpfedsim.rng import STREAM_SWEEP, derive_seed
 from dpfedsim.sweep import run_sweep, sweep_grid, with_overrides
@@ -301,6 +301,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     empty.mkdir()
     assert run_cli(["report", "--out", str(empty)]) == EXIT_IO
     capsys.readouterr()
+
+
+def test_adam_overflow_fails_loudly(tmp_path, capsys):
+    # sigma = 1e200 overflows Adam's second moment to inf, which used to turn
+    # every update into 0: training stalled while the run reported success
+    cfg = write_cfg(tmp_path, ["dp.optimizer = adam", "dp.noise_multiplier = 1e200"])
+    resolved = parse_config(cfg)
+    train, test = load_dataset(resolved)
+    with np.errstate(over="ignore"):
+        result = run_experiment(resolved.experiment, train, test)
+        code = run_cli(["federated", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.error is not None and "adam" in result.error
+    assert code == EXIT_RUNTIME
 
 
 def test_cli_sweep(tmp_path, capsys):

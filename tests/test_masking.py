@@ -16,7 +16,7 @@ from dpfedsim import (
     payload_bytes,
     serialize_update,
 )
-from dpfedsim.errors import ProtocolError
+from dpfedsim.errors import NumericError, ProtocolError
 
 RNG = np.random.default_rng
 
@@ -119,6 +119,12 @@ def test_update_invariants():
         MaskedUpdate(0, 0, np.array([3, 2]), np.array([0.1, 0.2]), 1, 1)
     with pytest.raises(ShapeError):
         MaskedUpdate(0, 0, np.array([1, 2]), np.array([0.1, np.inf]), 1, 1)
+
+
+def test_nonfinite_update_is_a_numeric_error():
+    # run_experiment turns NumericError into a partial result (CLI exit 3)
+    with pytest.raises(NumericError, match="finite"):
+        MaskedUpdate(0, 0, np.array([1, 2]), np.array([np.nan, 0.2]), 1, 1)
 
 
 # ---------------------------------------------------------------- payloads

@@ -1,5 +1,6 @@
 """Model core: forward/gradient correctness against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from dpfedsim import (
     per_sample_gradients,
     pretrain,
 )
+from dpfedsim.dpsgd import clip_per_sample, noisy_mean
 from dpfedsim.federation import evaluate
+from dpfedsim.masking import make_mask
 
 RNG = np.random.default_rng
 
@@ -215,6 +218,52 @@ def test_permuting_batch_permutes_gradient_rows(kind):
     rows = per_sample_gradients(spec, params, batch)
     permuted = per_sample_gradients(spec, params, batch.take(perm))
     assert np.array_equal(rows[perm], permuted)
+
+
+# Wide enough that row norms and batch means sum in an order that depends on
+# the memory layout of the gradient matrix.
+WIDE_SPECS = {
+    "linear": ModelSpec("linear", input_dim=12, output_dim=1),
+    "logistic": ModelSpec("logistic", input_dim=12, output_dim=2),
+    "mlp": ModelSpec("mlp", input_dim=6, output_dim=3, hidden_dim=10, activation="relu"),
+}
+LAYER_SUBSETS = [
+    (kind, subset)
+    for kind, spec in WIDE_SPECS.items()
+    for r in range(1, len(layer_layout(spec)) + 1)
+    for subset in itertools.combinations([name for name, _, _ in layer_layout(spec)], r)
+]
+
+
+@pytest.mark.parametrize(
+    "kind,layers", LAYER_SUBSETS, ids=[f"{k}-{','.join(s)}" for k, s in LAYER_SUBSETS]
+)
+def test_layer_subset_gradients_are_the_full_matrix_columns(kind, layers):
+    spec = WIDE_SPECS[kind]
+    rng = RNG(11)
+    layout = layer_layout(spec)
+    params = ParameterVector(rng.normal(size=parameter_count(spec)), layout)
+    n = 20
+    targets = rng.integers(0, spec.output_dim, size=n) if spec.is_classifier else rng.normal(size=n)
+    batch = SampleBatch(rng.normal(size=(n, spec.input_dim)), targets)
+    cols = make_mask(layout, layers).indices
+    full = per_sample_gradients(spec, params, batch)[:, cols]
+    subset = per_sample_gradients(spec, params, batch, layers=layers)
+    assert np.array_equal(subset, full)
+    # the private step reduces in memory order, so the layout must match too
+    for clip in (0.1, 1e6):
+        assert np.array_equal(
+            noisy_mean(clip_per_sample(subset, clip), 0.0, clip, 0),
+            noisy_mean(clip_per_sample(full, clip), 0.0, clip, 0),
+        )
+
+
+def test_per_sample_gradients_rejects_unknown_layer():
+    spec = WIDE_SPECS["mlp"]
+    params = init_params(spec, seed=0)
+    batch = SampleBatch(np.zeros((2, spec.input_dim)), np.array([0, 1]))
+    with pytest.raises(ShapeError, match="nope"):
+        per_sample_gradients(spec, params, batch, layers=["head.bias", "nope"])
 
 
 # ---------------------------------------------------------------- layout
