@@ -91,20 +91,31 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float) -> np.ndarray:
 
     Row i becomes g_i / max(1, ||g_i|| / C).  Rows already inside the ball
     are returned bitwise unchanged and the operation is exactly idempotent.
+    A finite row whose squared norm overflows is still clipped, not zeroed.
+    The input is never written to.
     """
     if clip_norm <= 0:
         raise ShapeError("clip_norm must be > 0")
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ShapeError("expected a [batch x dim] gradient matrix")
-    finite_rows = np.all(np.isfinite(grads), axis=1)
+    with np.errstate(over="ignore"):  # overflowing rows are redone below
+        norms = np.linalg.norm(grads, axis=1)
+    # a finite norm means a finite row, so entries are scanned only when a
+    # norm is not: a NaN/inf entry or an overflowing square
+    unsafe = np.flatnonzero(~np.isfinite(norms))
+    finite_rows = np.all(np.isfinite(grads[unsafe]), axis=1)
     if not finite_rows.all():
-        raise NumericError(
-            f"non-finite gradient in sample {int(np.flatnonzero(~finite_rows)[0])}"
-        )
-    norms = np.linalg.norm(grads, axis=1)
-    scale = np.where(norms > clip_norm * (1.0 + _CLIP_SLACK), clip_norm / np.maximum(norms, 1e-300), 1.0)
-    return grads * scale[:, None]
+        raise NumericError(f"non-finite gradient in sample {int(unsafe[np.argmin(finite_rows)])}")
+    limit = clip_norm * (1.0 + _CLIP_SLACK)
+    scale = np.where(norms > limit, clip_norm / np.maximum(norms, 1e-300), 1.0)
+    clipped = grads * scale[:, None]
+    for i in unsafe:  # ||g|| = m * ||g / m|| with m = max |g|, free of overflow
+        m = np.abs(grads[i]).max()
+        unit = grads[i] / m
+        r = np.linalg.norm(unit)
+        clipped[i] = unit * (clip_norm / r) if r > limit / m else grads[i]
+    return clipped
 
 
 def noisy_mean(

@@ -310,7 +310,9 @@ def per_sample_gradients(
     for layer, a, dz in _backprop(spec, params, batch, names):
         if layer.weight in spans:
             out = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
-            np.einsum("no,ni->oin", dz, a, out=out)
+            # transposed operands keep einsum's inner loop on contiguous memory;
+            # einsum, not np.multiply, so exact zeros keep their +0.0 sign
+            np.einsum("on,in->oin", np.ascontiguousarray(dz.T), np.ascontiguousarray(a.T), out=out)
         if layer.bias in spans:
             cols[spans[layer.bias]] = dz.T
     return cols.T

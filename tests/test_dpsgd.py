@@ -83,6 +83,61 @@ def test_clip_rejects_nonfinite_row():
         clip_per_sample(rows, 1.0)
 
 
+def test_clip_rejects_nan_row_naming_the_first_bad_sample():
+    rows = np.ones((4, 3))
+    rows[1, 0] = 1e300  # overflows its squared norm but is finite
+    rows[2, 2] = np.nan
+    rows[3, 1] = np.inf
+    with pytest.raises(NumericError, match="sample 2"):
+        clip_per_sample(rows, 1.0)
+
+
+def test_clip_projects_overflowing_finite_row_onto_sphere():
+    rows = np.zeros((4, 64))
+    rows[0, :2] = 1e200
+    rows[1, :3] = [3e307, -1e307, 5.0]
+    rows[2, :2] = [0.3, 0.4]
+    rows[3] = 1e308  # even ||g|| itself is not finite
+    clip = 1.5
+    out = clip_per_sample(rows, clip)
+    for got, row in zip(out[[0, 1, 3]], rows[[0, 1, 3]]):
+        assert np.linalg.norm(got) <= clip * (1 + 1e-9)
+        assert np.linalg.norm(got) >= clip * (1 - 1e-9)
+        direction = row / np.abs(row).max()
+        direction /= np.linalg.norm(direction)
+        assert np.max(np.abs(got / clip - direction)) <= 1e-12
+    assert np.array_equal(out[2], rows[2])
+    assert out.tobytes() == clip_per_sample(out, clip).tobytes()
+
+
+def test_clip_leaves_its_input_unchanged():
+    rows = RNG(3).normal(scale=2.0, size=(16, 7))
+    rows[0] = 1e200
+    before = rows.copy()
+    out = clip_per_sample(rows, 1.0)
+    assert rows.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, rows)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_clip_bytes_match_the_reference_formula(order):
+    # a mix of clipped and untouched rows, and single-row batches, whose norms
+    # numpy sums pairwise instead of in column order
+    rng = RNG(4)
+    rows = rng.normal(size=(64, 1100)) * rng.uniform(0.0, 0.07, size=(64, 1))
+    rows[::5] = 0.0
+    clip = 1.0
+    for batch in (rows, rows[4:5], rows[8:9]):
+        batch = np.array(batch, order=order)
+        norm = np.linalg.norm(batch, axis=1)
+        scale = np.where(norm > clip * (1 + 1e-12), clip / np.maximum(norm, 1e-300), 1.0)
+        expected = batch * scale[:, None]
+        assert clip_per_sample(batch, clip).tobytes() == expected.tobytes()
+    clipped = np.linalg.norm(rows, axis=1) > clip
+    assert 0 < np.count_nonzero(clipped) < rows.shape[0]
+    assert clipped[4] and clipped[8]
+
+
 def test_clip_zero_rows_untouched():
     rows = np.zeros((4, 3))
     assert np.array_equal(clip_per_sample(rows, 0.5), rows)

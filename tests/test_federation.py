@@ -1,6 +1,8 @@
 """Orchestrator: partitioning, local training, rounds, accounting, records."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +20,18 @@ from dpfedsim import (
     evaluate,
     init_params,
     make_mask,
+    parse_config,
     partition_data,
     per_sample_gradients,
     run_experiment,
     run_local,
 )
+from dpfedsim.comm import render_rounds_table
+from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
 from dpfedsim.masking import apply_masked_update
 
+DATA_DIR = Path(__file__).parent / "data"
 RNG = np.random.default_rng
 
 MLP = ModelSpec("mlp", input_dim=2, output_dim=2, hidden_dim=4)
@@ -358,6 +364,27 @@ def test_full_determinism_of_records():
         b = run_experiment(cfg, train, test)
         assert a.records == b.records
         assert np.array_equal(a.final_params.values, b.final_params.values)
+
+
+# sha256 of the round table followed by the final parameters as <f8 bytes, for
+# the reference run with every layer trained; the golden round table pins the
+# head-only path, these pin the hidden-layer gradients and their clipping
+FULL_TUNING_DIGESTS = {
+    "tanh": "2526b90052db5f7434f1356e2a16c74c3949f7fedc7aa72424797d303d4fff67",
+    "relu": "4b09b521e0b0fe33b745374a25ef99f099a0db2afad787f71b13227114023e65",
+}
+
+
+@pytest.mark.parametrize("activation", list(FULL_TUNING_DIGESTS))
+def test_full_tuning_reference_run_is_bit_reproducible(activation):
+    overrides = ["mask_layers=all", f"model.activation={activation}"]
+    resolved = parse_config(DATA_DIR / "reference.cfg", overrides)
+    train, test = load_dataset(resolved)
+    result = run_experiment(resolved.experiment, train, test)
+    assert result.error is None
+    digest = hashlib.sha256(render_rounds_table(result.records).encode())
+    digest.update(result.final_params.values.astype("<f8").tobytes())
+    assert digest.hexdigest() == FULL_TUNING_DIGESTS[activation]
 
 
 def test_divergence_aborts_with_partial_records():

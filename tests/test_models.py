@@ -20,6 +20,7 @@ from dpfedsim import (
     per_sample_gradients,
     pretrain,
 )
+from dpfedsim import models
 from dpfedsim.dpsgd import clip_per_sample, noisy_mean
 from dpfedsim.federation import evaluate
 from dpfedsim.masking import make_mask
@@ -256,6 +257,36 @@ def test_layer_subset_gradients_are_the_full_matrix_columns(kind, layers):
             noisy_mean(clip_per_sample(subset, clip), 0.0, clip, 0),
             noisy_mean(clip_per_sample(full, clip), 0.0, clip, 0),
         )
+
+
+PINNED_SPECS = {
+    "mlp-relu": ModelSpec("mlp", input_dim=7, output_dim=3, hidden_dim=11, activation="relu"),
+    "mlp-tanh": ModelSpec("mlp", input_dim=7, output_dim=3, hidden_dim=11, activation="tanh"),
+    "logistic": ModelSpec("logistic", input_dim=7, output_dim=2),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SPECS))
+def test_weight_gradients_keep_the_bits_of_the_plain_einsum(name):
+    # exact zeros in inputs, relu outputs and relu deltas pin the sign of zero
+    spec = PINNED_SPECS[name]
+    rng = RNG(12)
+    layout = layer_layout(spec)
+    params = ParameterVector(rng.normal(size=parameter_count(spec)), layout)
+    n = 24
+    x = rng.normal(size=(n, spec.input_dim))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[x < -1.0] = -0.0
+    batch = SampleBatch(x, rng.integers(0, spec.output_dim, size=n))
+    grads = per_sample_gradients(spec, params, batch)
+    spans = {lname: slice(offset, offset + length) for lname, offset, length in layout}
+    zeros = 0
+    for layer, a, dz in models._backprop(spec, params, batch, set(spans)):
+        expected = np.einsum("no,ni->oin", dz, a).reshape(-1, n).T
+        zeros += np.count_nonzero(expected == 0.0)
+        got = np.ascontiguousarray(grads[:, spans[layer.weight]])
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert zeros > 0
 
 
 def test_per_sample_gradients_rejects_unknown_layer():
