@@ -86,21 +86,38 @@ class SamplerPlan:
         return min(1.0, self.batch_size / self.dataset_size)
 
 
-def clip_per_sample(grads: np.ndarray, clip_norm: float) -> np.ndarray:
+def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray:
     """Scale each row onto the L2 ball of radius clip_norm.
 
     Row i becomes g_i / max(1, ||g_i|| / C).  Rows already inside the ball
     are returned bitwise unchanged and the operation is exactly idempotent.
     A finite row whose squared norm overflows is still clipped, not zeroed.
-    The input is never written to.
+    The input is never written to.  ``out``, a float64 array of the shape and
+    memory order of ``grads`` that shares no memory with it, holds the squares
+    and then the result, which is returned; the order fixes the norms' bits.
     """
     if clip_norm <= 0:
         raise ShapeError("clip_norm must be > 0")
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ShapeError("expected a [batch x dim] gradient matrix")
+    order = (grads.flags.c_contiguous, grads.flags.f_contiguous)
+    if out is None:
+        out = np.empty_like(grads)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == grads.shape
+        and out.dtype == np.float64
+        and out.flags.writeable
+        and any(order)
+        and (out.flags.c_contiguous, out.flags.f_contiguous) == order
+    ):
+        raise ShapeError("out must be a writable float64 array of the shape and order of grads")
+    elif np.shares_memory(out, grads):
+        raise ShapeError("out must not share memory with grads")
     with np.errstate(over="ignore"):  # overflowing rows are redone below
-        norms = np.linalg.norm(grads, axis=1)
+        # np.linalg.norm(grads, axis=1) computed in ``out``, bit for bit
+        norms = np.sqrt(np.add.reduce(np.multiply(grads, grads, out=out), axis=1))
     # a finite norm means a finite row, so entries are scanned only when a
     # norm is not: a NaN/inf entry or an overflowing square
     unsafe = np.flatnonzero(~np.isfinite(norms))
@@ -109,13 +126,13 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float) -> np.ndarray:
         raise NumericError(f"non-finite gradient in sample {int(unsafe[np.argmin(finite_rows)])}")
     limit = clip_norm * (1.0 + _CLIP_SLACK)
     scale = np.where(norms > limit, clip_norm / np.maximum(norms, 1e-300), 1.0)
-    clipped = grads * scale[:, None]
+    np.multiply(grads, scale[:, None], out=out)
     for i in unsafe:  # ||g|| = m * ||g / m|| with m = max |g|, free of overflow
         m = np.abs(grads[i]).max()
         unit = grads[i] / m
         r = np.linalg.norm(unit)
-        clipped[i] = unit * (clip_norm / r) if r > limit / m else grads[i]
-    return clipped
+        out[i] = unit * (clip_norm / r) if r > limit / m else grads[i]
+    return out
 
 
 def noisy_mean(

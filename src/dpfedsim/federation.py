@@ -234,21 +234,30 @@ def run_local(
     """One client's private local training for one round.
 
     Per batch: per-sample gradients of the trainable layers only, clipped,
-    averaged with seeded Gaussian noise, then applied.  The broadcast
-    parameters are never modified; tau counts optimizer steps.
+    averaged with seeded Gaussian noise, then applied.  The gradient and
+    clipped matrices live in two buffers reused by every step, grown when a
+    (poisson) batch needs more.  The broadcast parameters are never modified;
+    tau counts optimizer steps.
     """
     if local_epochs < 1:
         raise ShapeError("local_epochs must be >= 1")
     w = w_t.copy()
     state = AdamState.zeros(mask.trainable_count) if dp.optimizer == "adam" else None
     step = 0
+    grad_buf = clip_buf = np.empty(0)
     for epoch in range(1, local_epochs + 1):
         for batch_no, batch_idx in enumerate(epoch_batches(plan_for_epoch(plan, round_index, epoch))):
             if batch_idx.size == 0:
                 continue  # poisson sampling may draw an empty batch
             batch = client.data.take(batch_idx)
-            grads = per_sample_gradients(spec, w, batch, layers=mask.selected_layers)
-            clipped = clip_per_sample(grads, dp.clip_norm)
+            need = batch.size * mask.trainable_count
+            if grad_buf.size < need:
+                grad_buf, clip_buf = np.empty(need), np.empty(need)
+            grads = per_sample_gradients(spec, w, batch, mask.selected_layers, out=grad_buf)
+            # the clipped matrix takes the gradients' column-major layout
+            clipped = clip_per_sample(
+                grads, dp.clip_norm, out=clip_buf[:need].reshape(grads.shape, order="F")
+            )
             noise_seed = derive_seed(
                 client.rng_seed, STREAM_NOISE, round_index, epoch, batch_no
             )

@@ -284,7 +284,7 @@ def forward(
 
 
 def per_sample_gradients(
-    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, layers=None
+    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, layers=None, out=None
 ) -> np.ndarray:
     """Matrix of per-example loss gradients, one row per sample.
 
@@ -293,6 +293,8 @@ def per_sample_gradients(
     full matrix, bit for bit.  Backprop stops at the lowest layer that owns
     one of them.  The matrix is column-major; the private step sums row norms
     and batch means in that order, so the layout is part of a run's bits.
+    ``out``, a 1-D contiguous float64 buffer, receives the matrix in its first
+    ``width * n`` values; the result is then a view of it.
     """
     _check_inputs(spec, params, batch)
     layout = layer_layout(spec)
@@ -306,13 +308,24 @@ def per_sample_gradients(
         known = [name for name, _, _ in layout]
         raise ShapeError(f"unknown layers {sorted(names - set(spans))}; layout has {known}")
     n = batch.size
-    cols = np.empty((width, n))  # the transposed result, one row per parameter
+    if out is None:
+        out = np.empty(width * n)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.ndim == 1
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and out.size >= width * n
+    ):
+        raise ShapeError(f"out must be a writable 1-D contiguous float64 buffer of >= {width * n}")
+    cols = out[: width * n].reshape(width, n)  # the transposed result, one row per parameter
     for layer, a, dz in _backprop(spec, params, batch, names):
         if layer.weight in spans:
-            out = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
+            block = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
             # transposed operands keep einsum's inner loop on contiguous memory;
             # einsum, not np.multiply, so exact zeros keep their +0.0 sign
-            np.einsum("on,in->oin", np.ascontiguousarray(dz.T), np.ascontiguousarray(a.T), out=out)
+            np.einsum("on,in->oin", np.ascontiguousarray(dz.T), np.ascontiguousarray(a.T), out=block)
         if layer.bias in spans:
             cols[spans[layer.bias]] = dz.T
     return cols.T

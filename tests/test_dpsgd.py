@@ -143,6 +143,63 @@ def test_clip_zero_rows_untouched():
     assert np.array_equal(clip_per_sample(rows, 0.5), rows)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_clip_into_a_caller_buffer_keeps_the_bytes(order):
+    rng = RNG(5)
+    rows = rng.normal(size=(32, 300)) * rng.uniform(0.0, 0.2, size=(32, 1))
+    overflow = np.array([[1e200, 1e200]])
+    for batch in (rows, rows[3:4], rows[7:8], overflow):
+        batch = np.array(batch, order=order)
+        before = batch.copy(order="K")
+        expected = clip_per_sample(batch, 1.0)
+        out = np.full_like(batch, np.nan)
+        got = clip_per_sample(batch, 1.0, out=out)
+        assert got is out
+        assert got.tobytes(order="A") == expected.tobytes(order="A")
+        assert batch.tobytes(order="A") == before.tobytes(order="A")
+    assert np.linalg.norm(got) == pytest.approx(1.0)
+
+
+def test_clip_into_a_caller_buffer_names_the_bad_sample():
+    rows = np.asfortranarray(np.ones((4, 3)))
+    rows[2, 1] = np.nan
+    before = rows.copy(order="K")
+    with pytest.raises(NumericError, match="sample 2"):
+        clip_per_sample(rows, 1.0, out=np.empty_like(rows))
+    assert rows.tobytes(order="A") == before.tobytes(order="A")
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda g: np.empty((3, 5), order="F"),
+        lambda g: np.empty((4, 5), dtype=np.float32, order="F"),
+        lambda g: np.empty((4, 5), order="C"),
+        lambda g: np.empty((4, 10), order="F")[:, ::2],
+        lambda g: [[0.0] * 5] * 4,
+        lambda g: np.lib.stride_tricks.as_strided(np.empty_like(g), writeable=False),
+    ],
+    ids=["shape", "float32", "order", "strided", "list", "read-only"],
+)
+def test_clip_rejects_a_bad_buffer(make_out):
+    grads = np.asfortranarray(RNG(6).normal(size=(4, 5)))
+    with pytest.raises(ShapeError, match="out must be"):
+        clip_per_sample(grads, 1.0, out=make_out(grads))
+
+
+def test_clip_rejects_a_buffer_sharing_memory_with_its_input():
+    store = np.asfortranarray(RNG(7).normal(size=(4, 10)) * 3.0)
+    grads = store[:, :5]
+    before = grads.copy(order="K")
+    for out in (grads, store[:, 3:8]):
+        with pytest.raises(ShapeError, match="share memory"):
+            clip_per_sample(grads, 1.0, out=out)
+    assert grads.tobytes(order="A") == before.tobytes(order="A")
+    # the same block of memory is fine where the two do not overlap
+    got = clip_per_sample(grads, 1.0, out=store[:, 5:])
+    assert got.tobytes(order="A") == clip_per_sample(before, 1.0).tobytes(order="A")
+
+
 # ---------------------------------------------------------------- noisy mean
 
 

@@ -26,6 +26,7 @@ from dpfedsim import (
     run_experiment,
     run_local,
 )
+from dpfedsim import federation
 from dpfedsim.comm import render_rounds_table
 from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
@@ -180,6 +181,50 @@ def test_run_local_updates_only_masked_indices():
     rebuilt = apply_masked_update(w, update)
     frozen = ~mask.coordinate_mask
     assert np.array_equal(rebuilt.values[frozen], w.values[frozen])
+
+
+def _record_clip_calls(monkeypatch):
+    calls = []
+
+    def recording(grads, clip_norm, out=None):
+        calls.append((grads, out))
+        return clip_per_sample(grads, clip_norm, out=out)
+
+    monkeypatch.setattr(federation, "clip_per_sample", recording)
+    return calls
+
+
+def test_run_local_reuses_its_gradient_and_clip_buffers(monkeypatch):
+    calls = _record_clip_calls(monkeypatch)
+    data = blob_data(30, seed=7)
+    (shard,) = partition_data(data, 1, "iid", seed=0)
+    w = init_params(MLP, 5)
+    mask = make_mask(w.layout, [name for name, _, _ in w.layout])
+    plan = SamplerPlan("shuffle", 8, shard.n_k, shard.rng_seed)
+    update = run_local(MLP, shard, w, mask, DpConfig(1.0, 0.5, 0.1), plan, 2, 0)
+    assert update.tau == len(calls) == 8
+    first_grads, first_out = calls[0]
+    for grads, out in calls:
+        assert np.shares_memory(grads, first_grads)
+        assert np.shares_memory(out, first_out)
+        assert not np.shares_memory(grads, out)
+
+
+def test_run_local_grows_its_buffers_only_for_a_larger_batch(monkeypatch):
+    calls = _record_clip_calls(monkeypatch)
+    data = blob_data(60, seed=8)
+    (shard,) = partition_data(data, 1, "iid", seed=0)
+    w = init_params(MLP, 6)
+    mask = make_mask(w.layout, [name for name, _, _ in w.layout])
+    plan = SamplerPlan("poisson", 8, shard.n_k, shard.rng_seed)
+    run_local(MLP, shard, w, mask, DpConfig(1.0, 0.5, 0.1), plan, 3, 0)
+    sizes = [grads.shape[0] for grads, _ in calls]
+    grown = [i for i in range(1, len(calls)) if sizes[i] > max(sizes[:i])]
+    assert grown and max(sizes) > 8  # poisson draws batches above batch_size
+    for i in range(1, len(calls)):
+        same = np.shares_memory(calls[i][0], calls[i - 1][0])
+        assert same == (i not in grown)
+        assert np.shares_memory(calls[i][1], calls[i - 1][1]) == same
 
 
 # ---------------------------------------------------------------- evaluate
@@ -385,6 +430,21 @@ def test_full_tuning_reference_run_is_bit_reproducible(activation):
     digest = hashlib.sha256(render_rounds_table(result.records).encode())
     digest.update(result.final_params.values.astype("<f8").tobytes())
     assert digest.hexdigest() == FULL_TUNING_DIGESTS[activation]
+
+
+# the same digest for the reference run with every layer trained under poisson
+# sampling, whose batches outgrow batch_size and so the private step's buffers
+POISSON_FULL_TUNING_DIGEST = "328ef2eb3c23bf966a3ee6adc1e08d6c33796959a82d6c4cf719fdde9f576372"
+
+
+def test_poisson_full_tuning_reference_run_is_bit_reproducible():
+    resolved = parse_config(DATA_DIR / "reference.cfg", ["sampler=poisson", "mask_layers=all"])
+    train, test = load_dataset(resolved)
+    result = run_experiment(resolved.experiment, train, test)
+    assert result.error is None
+    digest = hashlib.sha256(render_rounds_table(result.records).encode())
+    digest.update(result.final_params.values.astype("<f8").tobytes())
+    assert digest.hexdigest() == POISSON_FULL_TUNING_DIGEST
 
 
 def test_divergence_aborts_with_partial_records():

@@ -297,6 +297,56 @@ def test_per_sample_gradients_rejects_unknown_layer():
         per_sample_gradients(spec, params, batch, layers=["head.bias", "nope"])
 
 
+OUT_CASES = LAYER_SUBSETS + [(kind, None) for kind in WIDE_SPECS]
+
+
+def wide_instance(kind, n, seed):
+    spec = WIDE_SPECS[kind]
+    rng = RNG(seed)
+    params = ParameterVector(rng.normal(size=parameter_count(spec)), layer_layout(spec))
+    targets = rng.integers(0, spec.output_dim, size=n) if spec.is_classifier else rng.normal(size=n)
+    return spec, params, SampleBatch(rng.normal(size=(n, spec.input_dim)), targets)
+
+
+@pytest.mark.parametrize(
+    "kind,layers", OUT_CASES, ids=[f"{k}-{','.join(s or ['all'])}" for k, s in OUT_CASES]
+)
+def test_gradients_into_a_caller_buffer_keep_the_bytes(kind, layers):
+    buf = None
+    for n in (20, 1, 7):  # one buffer, sized for the first batch, serves all three
+        spec, params, batch = wide_instance(kind, n, seed=n)
+        expected = per_sample_gradients(spec, params, batch, layers=layers)
+        used = expected.size
+        if buf is None:
+            buf = np.full(used + 13, np.nan)  # NaN: any read of an unwritten value shows
+        tail = buf[used:].copy()
+        got = per_sample_gradients(spec, params, batch, layers=layers, out=buf)
+        assert np.shares_memory(got, buf)
+        assert got.shape == expected.shape and got.strides == expected.strides
+        assert got.tobytes(order="A") == expected.tobytes(order="A")
+        assert buf[used:].tobytes() == tail.tobytes()  # nothing past width * n written
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda size: np.empty(size - 1),
+        lambda size: np.empty((size, 1)),
+        lambda size: np.empty(size, dtype=np.float32),
+        lambda size: np.empty(2 * size)[::2],
+        lambda size: np.empty(size).view(np.int64),
+        lambda size: [0.0] * size,
+        lambda size: np.lib.stride_tricks.as_strided(np.empty(size), writeable=False),
+    ],
+    ids=["short", "2-d", "float32", "strided", "int64", "list", "read-only"],
+)
+def test_per_sample_gradients_rejects_a_bad_buffer(make_out):
+    spec, params, batch = wide_instance("mlp", 5, seed=0)
+    size = 5 * parameter_count(spec)
+    with pytest.raises(ShapeError, match="out must be"):
+        per_sample_gradients(spec, params, batch, out=make_out(size))
+
+
 # ---------------------------------------------------------------- layout
 
 
