@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     acct.add_argument("--epochs", type=int, required=True, help="local epochs per round")
     acct.add_argument("--rounds", type=int, default=1)
     acct.add_argument("--delta", type=float, default=1e-4)
-    acct.add_argument("--clip-norm", type=float, default=1.0)
 
     rep = sub.add_parser("report", help="tabulate completed runs")
     rep.add_argument("--out", type=str, default=None, help="directory holding run outputs")
@@ -96,12 +95,13 @@ def _cmd_experiment(args: argparse.Namespace, centralized: bool) -> int:
         overrides += ["clients=1", "participation_fraction=1.0"]
     resolved = parse_config(args.config, overrides, seed=args.seed)
     train, test = load_dataset(resolved)
-    run_dir = _run_dir(_output_root(args.out), resolved)
-    run_dir.mkdir(parents=True)
-    (run_dir / RESOLVED_FILE).write_text(resolved.dump())
     started = time.perf_counter()
     result = run_experiment(resolved.experiment, train, test)
     elapsed = time.perf_counter() - started
+    # created only now, so a run rejected at start leaves no directory behind
+    run_dir = _run_dir(_output_root(args.out), resolved)
+    run_dir.mkdir(parents=True)
+    (run_dir / RESOLVED_FILE).write_text(resolved.dump())
     summary = write_records(result.records, run_dir)
     save_params(result.final_params, run_dir / "model.npz")
     print(f"run dir: {run_dir}")
@@ -129,7 +129,6 @@ def _cmd_accountant(args: argparse.Namespace) -> int:
             noise_multiplier=sigma,
             epochs=args.epochs,
             delta=args.delta,
-            clip_norm=args.clip_norm,
         ),
         args.rounds,
     )

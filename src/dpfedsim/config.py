@@ -3,10 +3,12 @@
 Every key has a schema entry (type plus default); unknown keys are rejected
 rather than ignored, in files and in --set overrides alike.  parse_config
 resolves a file plus overrides into a fully-populated value table and an
-ExperimentConfig; when privacy.target_epsilon is set, the noise multiplier
-is solved from the accountant before the run and echoed in the resolved
-dump.  The dump format is versioned and round-trips through the parser to
-an identical configuration.
+ExperimentConfig.  This module only maps keys onto the dataclasses, which
+check their own rules; it checks the dataset source itself, and whatever it
+rejects is raised as a ConfigError.  When privacy.target_epsilon is set, the noise
+multiplier is solved from the client shards the run will train on and echoed
+in the resolved dump.  The dump format is versioned and round-trips through
+the parser to an identical configuration.
 """
 
 from __future__ import annotations
@@ -14,15 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .accountant import sigma_for_target
-from .aggregation import AGGREGATION_KINDS, AggregationOp
+from .aggregation import AggregationOp
 from .comm import CommModel
-from .data import GENERATORS, SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
-from .dpsgd import OPTIMIZERS, SAMPLER_MODES, DpConfig
-from .errors import ConfigError
-from .federation import PARTITION_SCHEMES, DEFAULT_BANDWIDTH_MBPS, ExperimentConfig, Seeds
-from .masking import ENCODINGS
-from .models import KINDS, ModelSpec, SampleBatch, layer_layout, parameter_count
+from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
+from .dpsgd import DpConfig
+from .errors import ConfigError, DomainError, ShapeError
+from .federation import (
+    DEFAULT_BANDWIDTH_MBPS,
+    ExperimentConfig,
+    Seeds,
+    client_shards,
+    sigma_for_shards,
+)
+from .models import ModelSpec, SampleBatch, parameter_count
 
 DUMP_VERSION = "# dpfedsim resolved config v1"
 RESOLVED_FILE = "resolved_config.txt"
@@ -191,7 +197,16 @@ def resolve_raw(
         else:
             values[key] = default
     _apply_derived_defaults(values)
-    experiment = _build_experiment(values)
+    _check_dataset_source(values)
+    try:
+        experiment = _build_experiment(values)
+        if experiment.target_epsilon is not None:
+            train, _ = _load(values)
+            _, shards = client_shards(experiment, train)
+            values["dp.noise_multiplier"] = sigma_for_shards(experiment, shards)
+            experiment = _build_experiment(values)
+    except (ShapeError, DomainError) as exc:
+        raise ConfigError(str(exc)) from exc
     return ResolvedConfig(values=values, experiment=experiment)
 
 
@@ -214,45 +229,28 @@ def _apply_derived_defaults(values: dict[str, object]) -> None:
         values["dataset.seed"] = int(values["seeds.data"])
 
 
-def _check(condition: bool, key: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{key}: {message}")
+def _check_dataset_source(values: dict[str, object]) -> None:
+    source = str(values["dataset.source"])
+    if source not in ("synthetic", "file"):
+        raise ConfigError("dataset.source: must be synthetic or file")
+    path = Path(str(values["dataset.path"]))
+    if source == "file" and not path.is_file():
+        raise ConfigError(f"dataset.path: file not found: {path}")
 
 
 def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
-    kind = str(values["model.kind"])
-    _check(kind in KINDS, "model.kind", f"must be one of {KINDS}")
     model = ModelSpec(
-        kind=kind,
+        kind=str(values["model.kind"]),
         input_dim=int(values["model.input_dim"]),
         output_dim=int(values["model.output_dim"]),
         hidden_dim=int(values["model.hidden_dim"]),
         activation=str(values["model.activation"]),
     )
-    _check(str(values["aggregation"]) in AGGREGATION_KINDS, "aggregation", f"must be one of {AGGREGATION_KINDS}")
-    _check(str(values["partition"]) in PARTITION_SCHEMES, "partition", f"must be one of {PARTITION_SCHEMES}")
-    _check(str(values["sampler"]) in SAMPLER_MODES, "sampler", f"must be one of {SAMPLER_MODES}")
-    _check(str(values["dp.optimizer"]) in OPTIMIZERS, "dp.optimizer", f"must be one of {OPTIMIZERS}")
-    _check(str(values["comm.encoding"]) in ENCODINGS, "comm.encoding", f"must be one of {ENCODINGS}")
-    _check(int(values["clients"]) >= 1, "clients", "must be >= 1")
-    _check(int(values["rounds"]) >= 0, "rounds", "must be >= 0")
-    _check(int(values["local_epochs"]) >= 1, "local_epochs", "must be >= 1")
-    _check(int(values["batch_size"]) >= 1, "batch_size", "must be >= 1")
-
-    dataset_sizes = _dataset_sizes(values)
-    target = float(values["privacy.target_epsilon"])
-    _check(target >= 0, "privacy.target_epsilon", "must be >= 0 (0 disables the target)")
-    if target > 0:
-        values["dp.noise_multiplier"] = _resolve_sigma(values, dataset_sizes, target)
-
     mask_value = str(values["mask_layers"]).strip()
     if mask_value in ("all", ""):
         mask_layers: tuple[str, ...] = ()
     else:
         mask_layers = tuple(s.strip() for s in mask_value.split(",") if s.strip())
-        layout_names = [name for name, _, _ in layer_layout(model)]
-        for name in mask_layers:
-            _check(name in layout_names, "mask_layers", f"{name!r} not in {layout_names}")
 
     full_bytes = str(values["comm.full_model_bytes"]).strip()
     if full_bytes == "auto":
@@ -287,7 +285,7 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
         batch_size=int(values["batch_size"]),
         dp=dp,
         delta=float(values["privacy.delta"]),
-        target_epsilon=target or None,
+        target_epsilon=float(values["privacy.target_epsilon"]) or None,
         participation_fraction=float(values["participation_fraction"]),
         mask_layers=mask_layers,
         aggregation=AggregationOp(str(values["aggregation"])),
@@ -311,54 +309,12 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
     return cfg
 
 
-def _dataset_sizes(values: dict[str, object]) -> tuple[int, int, int]:
-    """(train, test, private) row counts implied by the dataset settings."""
-    source = str(values["dataset.source"])
-    _check(source in ("synthetic", "file"), "dataset.source", "must be synthetic or file")
-    if source == "synthetic":
-        _check(str(values["dataset.generator"]) in GENERATORS, "dataset.generator", f"must be one of {GENERATORS}")
-        total = int(values["dataset.samples"])
-    else:
-        path = Path(str(values["dataset.path"]))
-        _check(path.is_file(), "dataset.path", f"file not found: {path}")
-        total = load_delimited(path).size
-    tf = float(values["dataset.test_fraction"])
-    _check(0.0 < tf < 1.0, "dataset.test_fraction", "must lie in (0, 1)")
-    n_test = max(1, min(total - 1, round(total * tf)))
-    n_train = total - n_test
-    pf = float(values["pretrain.public_fraction"])
-    n_public = 0 if pf == 0.0 else max(1, min(n_train - 1, round(pf * n_train)))
-    n_private = n_train - n_public
-    _check(
-        n_private >= int(values["clients"]),
-        "clients",
-        f"only {n_private} private rows for {values['clients']} clients",
-    )
-    return n_train, n_test, n_private
-
-
-def _resolve_sigma(
-    values: dict[str, object], sizes: tuple[int, int, int], target: float
-) -> float:
-    """Back-solve the noise multiplier from the epsilon target.
-
-    Uses the smallest iid shard as the reference dataset size, the clamped
-    batch size for q, and rounds * local_epochs as the total epoch count.
-    """
-    _, _, n_private = sizes
-    rounds = int(values["rounds"])
-    epochs = int(values["local_epochs"])
-    _check(rounds >= 1, "privacy.target_epsilon", "needs rounds >= 1 to resolve sigma")
-    shard = n_private // int(values["clients"])
-    _check(shard >= 1, "privacy.target_epsilon", "shards too small to resolve sigma")
-    batch = min(int(values["batch_size"]), shard)
-    q = batch / shard
-    return sigma_for_target(q, rounds * epochs, float(values["privacy.delta"]), target)
-
-
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
     """Materialize (train, test) splits for a resolved configuration."""
-    values = resolved.values
+    return _load(resolved.values)
+
+
+def _load(values: dict[str, object]) -> tuple[SampleBatch, SampleBatch]:
     if str(values["dataset.source"]) == "synthetic":
         spec = SyntheticDatasetSpec(
             generator=str(values["dataset.generator"]),

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import PrivacyParams, compose_rounds
+from .accountant import PrivacyParams, compose_rounds, sigma_for_target
 from .aggregation import AggregationOp, aggregate
 from .comm import CommModel, RoundRecord, delay_seconds, traffic_per_round
 from .dpsgd import (
+    SAMPLER_MODES,
     AdamState,
     DpConfig,
     SamplerPlan,
@@ -31,7 +32,7 @@ from .dpsgd import (
     plan_for_epoch,
 )
 from .errors import ConfigError, NumericError, ShapeError
-from .masking import MaskedUpdate, PartitionMask, extract_masked_update, make_mask
+from .masking import ENCODINGS, MaskedUpdate, PartitionMask, extract_masked_update, make_mask
 from .models import (
     ModelSpec,
     ParameterVector,
@@ -112,8 +113,14 @@ class ExperimentConfig:
             raise ConfigError("participation_fraction must lie in (0, 1]")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
+        if self.target_epsilon is not None and self.target_epsilon <= 0:
+            raise ConfigError("target_epsilon must be > 0 when set")
         if self.partition not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {self.partition!r}")
+        if self.sampler_mode not in SAMPLER_MODES:
+            raise ConfigError(f"unknown sampler {self.sampler_mode!r}, expected {SAMPLER_MODES}")
+        if self.encoding not in ENCODINGS:
+            raise ConfigError(f"unknown encoding {self.encoding!r}, expected {ENCODINGS}")
         if self.partition == "dirichlet" and self.dirichlet_alpha <= 0:
             raise ConfigError("dirichlet_alpha must be > 0")
         if not (0.0 <= self.public_fraction < 1.0):
@@ -127,7 +134,7 @@ class ExperimentConfig:
         layout_names = [name for name, _, _ in layer_layout(self.model)]
         for name in self.mask_layers:
             if name not in layout_names:
-                raise ConfigError(f"mask layer {name!r} not in model layers {layout_names}")
+                raise ConfigError(f"mask_layers: {name!r} not in model layers {layout_names}")
 
     def resolved_mask_layers(self) -> tuple[str, ...]:
         if self.mask_layers:
@@ -299,19 +306,52 @@ def _select_participants(cfg: ExperimentConfig, round_index: int) -> list[int]:
     return sorted(int(c) for c in chosen)
 
 
-def _client_epsilon(
-    cfg: ExperimentConfig, shard: ClientShard, batch_size: int, rounds_participated: int
-) -> float:
+def client_shards(
+    cfg: ExperimentConfig, train_data: SampleBatch
+) -> tuple[SampleBatch | None, list[ClientShard]]:
+    """The public slice (None without one) and the client shards of a run."""
+    public, private = split_public_private(
+        train_data, cfg.public_fraction, cfg.seeds.data_seed
+    )
+    shards = partition_data(
+        private,
+        cfg.clients,
+        cfg.partition,
+        derive_seed(cfg.seeds.data_seed, STREAM_PARTITION),
+        alpha=cfg.dirichlet_alpha,
+        client_seed_root=cfg.seeds.noise_seed,
+    )
+    return public, shards
+
+
+def _sampler_plan(cfg: ExperimentConfig, shard: ClientShard) -> SamplerPlan:
+    """How a client batches its shard; the plan's sampling ratio is the one
+    the accountant charges it."""
+    return SamplerPlan(
+        mode=cfg.sampler_mode,
+        batch_size=min(cfg.batch_size, shard.n_k),
+        dataset_size=shard.n_k,
+        seed=shard.rng_seed,
+    )
+
+
+def sigma_for_shards(cfg: ExperimentConfig, shards: list[ClientShard]) -> float:
+    """Noise multiplier at which the most-sampled shard spends cfg.target_epsilon
+    in rounds * local_epochs epochs; no other shard spends more."""
+    q = max(_sampler_plan(cfg, shard).sampling_ratio for shard in shards)
+    return sigma_for_target(q, cfg.rounds * cfg.local_epochs, cfg.delta, cfg.target_epsilon)
+
+
+def _client_epsilon(cfg: ExperimentConfig, shard: ClientShard, rounds_participated: int) -> float:
     if rounds_participated == 0:
         return 0.0
     if cfg.dp.noise_multiplier == 0.0:
         return math.inf
     per_round = PrivacyParams(
-        sampling_ratio=min(1.0, batch_size / shard.n_k),
+        sampling_ratio=_sampler_plan(cfg, shard).sampling_ratio,
         noise_multiplier=cfg.dp.noise_multiplier,
         epochs=cfg.local_epochs,
         delta=cfg.delta,
-        clip_norm=cfg.dp.clip_norm,
     )
     return compose_rounds(per_round, rounds_participated).epsilon
 
@@ -327,18 +367,8 @@ def run_experiment(
     cfg.validate()
     if test_data.size < 1:
         raise ConfigError("test set is empty")
-    public, private = split_public_private(
-        train_data, cfg.public_fraction, cfg.seeds.data_seed
-    )
+    public, shards = client_shards(cfg, train_data)
     w = initial_params(cfg, public)
-    shards = partition_data(
-        private,
-        cfg.clients,
-        cfg.partition,
-        derive_seed(cfg.seeds.data_seed, STREAM_PARTITION),
-        alpha=cfg.dirichlet_alpha,
-        client_seed_root=cfg.seeds.noise_seed,
-    )
     mask = make_mask(layer_layout(cfg.model), cfg.resolved_mask_layers())
     d = parameter_count(cfg.model)
     comm = cfg.comm or CommModel(DEFAULT_BANDWIDTH_MBPS, 4.0 * d, 0.0)
@@ -359,12 +389,7 @@ def run_experiment(
             updates = []
             for cid in selected:
                 shard = shards[cid]
-                plan = SamplerPlan(
-                    mode=cfg.sampler_mode,
-                    batch_size=min(cfg.batch_size, shard.n_k),
-                    dataset_size=shard.n_k,
-                    seed=shard.rng_seed,
-                )
+                plan = _sampler_plan(cfg, shard)
                 updates.append(
                     run_local(cfg.model, shard, w, mask, cfg.dp, plan, cfg.local_epochs, t)
                 )
@@ -376,8 +401,7 @@ def run_experiment(
             participation[cid] += 1
         metrics = evaluate(cfg.model, w, test_data)
         epsilon = max(
-            _client_epsilon(cfg, shards[k], min(cfg.batch_size, shards[k].n_k), participation[k])
-            for k in range(cfg.clients)
+            _client_epsilon(cfg, shards[k], participation[k]) for k in range(cfg.clients)
         )
         compute_s = max(
             shards[k].n_k * cfg.local_epochs * (d + mask.trainable_count) * cfg.seconds_per_coord
