@@ -2,7 +2,7 @@
 learning with selective parameter tuning and masked sparse aggregation."""
 
 from .accountant import PrivacyParams, PrivacyReport, compose_rounds, epsilon_of, sigma_for_target
-from .aggregation import AggregationOp, ClientWeight, aggregate, compute_weights
+from .aggregation import AggregationOp, aggregate, compute_weights
 from .comm import CommModel, RoundRecord, delay_seconds, traffic_per_round, write_records
 from .config import ResolvedConfig, load_dataset, parse_config, resolve_raw
 from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test

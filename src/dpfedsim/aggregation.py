@@ -29,21 +29,16 @@ class AggregationOp:
             raise ShapeError(f"unknown aggregation {self.kind!r}, expected {AGGREGATION_KINDS}")
 
 
-@dataclass(frozen=True)
-class ClientWeight:
-    client_id: int
-    p_k: float
-
-
-def compute_weights(sample_counts: list[tuple[int, int]]) -> list[ClientWeight]:
-    """Data-proportional weights p_k = n_k / sum_j n_j over the given clients."""
+def compute_weights(sample_counts: list[tuple[int, int]]) -> dict[int, float]:
+    """Data-proportional weights {client_id: p_k}, p_k = n_k / sum_j n_j, over
+    the given clients in their given order."""
     if not sample_counts:
         raise ShapeError("cannot compute weights for an empty client set")
     for client_id, n_k in sample_counts:
         if n_k < 1:
             raise DomainError(f"client {client_id} has no data (n_k = {n_k})")
     total = sum(n for _, n in sample_counts)
-    return [ClientWeight(cid, n / total) for cid, n in sample_counts]
+    return {cid: n / total for cid, n in sample_counts}
 
 
 def aggregate(
@@ -61,15 +56,14 @@ def aggregate(
     ordered = sorted(updates, key=lambda u: u.client_id)
     first = ordered[0]
     for u in ordered[1:]:
-        if u.entry_count != first.entry_count or not np.array_equal(u.indices, first.indices):
+        # updates cut with one mask share its read-only index array
+        if u.indices is not first.indices and not np.array_equal(u.indices, first.indices):
             raise ProtocolError("updates do not share a coordinate mask")
     if op.kind == "fednova":
         for u in ordered:
             if u.tau < 1:
                 raise DomainError(f"client {u.client_id} reports tau = {u.tau} < 1")
-    weights = {
-        w.client_id: w.p_k for w in compute_weights([(u.client_id, u.n_k) for u in ordered])
-    }
+    weights = compute_weights([(u.client_id, u.n_k) for u in ordered])
     combined = np.zeros(first.entry_count)
     for u in ordered:
         delta = u.deltas / u.tau if op.kind == "fednova" else u.deltas

@@ -60,7 +60,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "dp.adam_beta1": ("float", 0.9),
     "dp.adam_beta2": ("float", 0.999),
     "dp.adam_eps": ("float", 1e-8),
-    "dp.scale_noise_by_batch": ("bool", False),
     "privacy.delta": ("float", 1e-4),
     "privacy.target_epsilon": ("float", 0.0),  # 0 means "not set"
     "seeds.global": ("int", 0),
@@ -275,7 +274,6 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
         adam_beta1=float(values["dp.adam_beta1"]),
         adam_beta2=float(values["dp.adam_beta2"]),
         adam_eps=float(values["dp.adam_eps"]),
-        scale_noise_by_batch=bool(values["dp.scale_noise_by_batch"]),
     )
     cfg = ExperimentConfig(
         model=model,

@@ -3,9 +3,7 @@ epoch batch plans, and the masked update step.
 
 The noisy gradient is formed exactly as written in the clip-then-average
 rule: the per-coordinate noise has standard deviation sigma * C and is added
-once to the already-averaged clipped sum.  Dividing the noise by the batch
-size as well is a common alternative convention; it is available behind
-``scale_noise_by_batch`` for sensitivity studies but is off by default.
+once to the already-averaged clipped sum.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ class DpConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    scale_noise_by_batch: bool = False
 
     def __post_init__(self) -> None:
         if self.clip_norm <= 0:
@@ -136,11 +133,7 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
 
 
 def noisy_mean(
-    clipped: np.ndarray,
-    noise_multiplier: float,
-    clip_norm: float,
-    noise_seed: int,
-    scale_noise_by_batch: bool = False,
+    clipped: np.ndarray, noise_multiplier: float, clip_norm: float, noise_seed: int
 ) -> np.ndarray:
     """Average the clipped rows and add seeded N(0, (sigma*C)^2 I) noise.
 
@@ -153,10 +146,7 @@ def noisy_mean(
     mean = clipped.mean(axis=0)
     if noise_multiplier == 0.0:
         return mean
-    noise = noise_multiplier * clip_norm * standard_normal(noise_seed, clipped.shape[1])
-    if scale_noise_by_batch:
-        noise = noise / clipped.shape[0]
-    return mean + noise
+    return mean + noise_multiplier * clip_norm * standard_normal(noise_seed, clipped.shape[1])
 
 
 def epoch_batches(plan: SamplerPlan) -> list[np.ndarray]:

@@ -268,9 +268,7 @@ def run_local(
             noise_seed = derive_seed(
                 client.rng_seed, STREAM_NOISE, round_index, epoch, batch_no
             )
-            grad = noisy_mean(
-                clipped, dp.noise_multiplier, dp.clip_norm, noise_seed, dp.scale_noise_by_batch
-            )
+            grad = noisy_mean(clipped, dp.noise_multiplier, dp.clip_norm, noise_seed)
             step += 1
             w = dp_step(w, mask, grad, dp, step, state)
     return extract_masked_update(

@@ -29,7 +29,10 @@ SPARSE_HEADER_BYTES = 16
 
 @dataclass(frozen=True)
 class PartitionMask:
-    """Boolean coordinate mask selecting the trainable subset of a layout."""
+    """Boolean coordinate mask selecting the trainable subset of a layout.
+
+    ``indices`` is read-only: every update cut with the mask shares it.
+    """
 
     selected_layers: tuple[str, ...]
     coordinate_mask: np.ndarray
@@ -38,7 +41,9 @@ class PartitionMask:
     def __post_init__(self) -> None:
         mask = np.asarray(self.coordinate_mask, dtype=bool)
         object.__setattr__(self, "coordinate_mask", mask)
-        object.__setattr__(self, "indices", np.flatnonzero(mask).astype(np.int64))
+        indices = np.flatnonzero(mask).astype(np.int64)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
 
     @property
     def total_count(self) -> int:
@@ -115,7 +120,7 @@ def extract_masked_update(
             f"mask covers {mask.total_count} coordinates, parameters have {w_old.dim}"
         )
     deltas = w_new.values[mask.indices] - w_old.values[mask.indices]
-    return MaskedUpdate(client_id, round_index, mask.indices.copy(), deltas, tau, n_k)
+    return MaskedUpdate(client_id, round_index, mask.indices, deltas, tau, n_k)
 
 
 def apply_masked_update(w_old: ParameterVector, update: MaskedUpdate) -> ParameterVector:
@@ -188,7 +193,7 @@ def deserialize_update(blob: bytes, mask: PartitionMask | None = None) -> Masked
         if len(payload) != 4 * count:
             raise ProtocolError("dense payload has the wrong size")
         values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        indices = mask.indices.copy()
+        indices = mask.indices
     else:
         if len(payload) != 8 * count:
             raise ProtocolError("sparse payload has the wrong size")

@@ -26,10 +26,17 @@ from .errors import NumericError, ShapeError
 from .rng import STREAM_INIT, derive_seed, generator
 
 KINDS = ("linear", "logistic", "mlp")
-# activation name -> (function, its derivative given the pre- and post-activation)
+# activation name -> (function, its derivative given the pre- and post-activation),
+# each written into ``out``
 ACTIVATIONS = {
-    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, post: (pre > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda pre, post: 1.0 - post * post),
+    "relu": (
+        lambda pre, out: np.maximum(pre, 0.0, out=out),
+        lambda pre, post, out: np.greater(pre, 0.0, out=out),
+    ),
+    "tanh": (
+        lambda pre, out: np.tanh(pre, out=out),
+        lambda pre, post, out: np.subtract(1.0, np.multiply(post, post, out=out), out=out),
+    ),
 }
 
 Layout = tuple[tuple[str, int, int], ...]
@@ -242,22 +249,42 @@ _HEADS = {
 }
 
 
-def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray) -> list:
-    """Forward pass; per layer, bottom first: (layer, W, input a, pre-activation z)."""
+def _buffer(work: dict, key, shape: tuple[int, int]) -> np.ndarray:
+    """The float64 buffer ``work[key]``, remade only when its shape changes.
+
+    A workspace is a caller-owned dict of buffers keyed by (role, layer index);
+    reusing one across calls at one batch shape allocates each buffer once.
+    """
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict) -> list:
+    """Forward pass; per layer, bottom first: (layer, W, input a, pre-activation z).
+    Each layer's z and activation are written into the workspace ``work``."""
     steps, a = [], x
-    for layer in _stack(spec):
+    for i, layer in enumerate(_stack(spec)):
         w = params.layer(layer.weight).reshape(layer.fan_out, layer.fan_in)
-        z = a @ w.T + params.layer(layer.bias)
+        z = _buffer(work, ("pre", i), (x.shape[0], layer.fan_out))
+        np.add(np.matmul(a, w.T, out=z), params.layer(layer.bias), out=z)
         steps.append((layer, w, a, z))
-        a = ACTIVATIONS[layer.activation][0](z) if layer.activation else z
+        act = layer.activation
+        a = ACTIVATIONS[act][0](z, _buffer(work, ("post", i), z.shape)) if act else z
     return steps
 
 
-def _backprop(spec: ModelSpec, params: ParameterVector, batch: SampleBatch, names, divisor=1):
+def _backprop(
+    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, names, divisor=1, work=None
+):
     """Yield (layer, input activation, output delta) from the head down to the
     lowest layer that owns one of ``names``; no delta is formed below it.  The
-    head's delta is divided by ``divisor`` before it is propagated."""
-    steps = _walk(spec, params, batch.inputs)
+    head's delta is divided by ``divisor`` before it is propagated.  The walk
+    and the deltas below the head live in the workspace ``work`` (fresh by
+    default): the next walk in it overwrites what was yielded."""
+    work = {} if work is None else work
+    steps = _walk(spec, params, batch.inputs, work)
     owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & names]
     lowest = owners[0] if owners else len(steps)
     dz = _HEADS[spec.kind][0](steps[-1][3], batch.targets)[2]
@@ -267,7 +294,9 @@ def _backprop(spec: ModelSpec, params: ParameterVector, batch: SampleBatch, name
         yield layer, a, dz
         if i > lowest:
             below, _, _, pre = steps[i - 1]
-            dz = (dz @ w) * ACTIVATIONS[below.activation][1](pre, a)
+            der = ACTIVATIONS[below.activation][1](pre, a, _buffer(work, ("der", i - 1), a.shape))
+            dz = np.matmul(dz, w, out=_buffer(work, ("delta", i - 1), a.shape))
+            dz *= der
 
 
 def forward(
@@ -279,7 +308,7 @@ def forward(
     [batch x output_dim]) and raw outputs for regression.
     """
     _check_inputs(spec, params, batch)
-    z = _walk(spec, params, batch.inputs)[-1][3]
+    z = _walk(spec, params, batch.inputs, {})[-1][3]  # fresh: the linear head returns z itself
     return _HEADS[spec.kind][0](z, batch.targets)[:2]
 
 
@@ -331,11 +360,15 @@ def per_sample_gradients(
     return cols.T
 
 
-def mean_gradient(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) -> np.ndarray:
+def mean_gradient(
+    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, *, work: dict | None = None
+) -> np.ndarray:
     """Gradient of the batch-mean loss, computed in accumulated (matmul) form.
 
     The same walk as per_sample_gradients, reduced over the batch by
     contraction instead of forming rows; the tests cross-check the two.
+    ``work`` is a workspace (see _buffer) the caller may keep between calls;
+    the returned gradient never shares memory with it.
     """
     _check_inputs(spec, params, batch)
     n = batch.size
@@ -344,12 +377,14 @@ def mean_gradient(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) 
     # stack with a hidden layer divides the head's delta before backprop, a
     # single layer divides after contracting.
     before, after = (n, 1) if spec.hidden_dim else (1, n)
-    names = {name for name, _, _ in layer_layout(spec)}
-    blocks = []
-    for layer, a, dz in _backprop(spec, params, batch, names, before):
-        blocks.append(dz.sum(axis=0) / after)
-        blocks.append((dz.T @ a / after).ravel())
-    return np.concatenate(blocks[::-1])
+    spans = {name: slice(offset, offset + length) for name, offset, length in layer_layout(spec)}
+    grad = np.empty(parameter_count(spec))
+    for layer, a, dz in _backprop(spec, params, batch, set(spans), before, work):
+        bias = grad[spans[layer.bias]]
+        np.divide(np.sum(dz, axis=0, out=bias), after, out=bias)
+        weight = grad[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in)
+        np.divide(np.matmul(dz.T, a, out=weight), after, out=weight)
+    return grad
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
@@ -402,8 +437,9 @@ def pretrain(
     if lr <= 0:
         raise ShapeError("lr must be > 0")
     params = init_params(spec, seed)
+    work: dict = {}  # one workspace for every epoch, dropped on return
     for epoch in range(epochs):
-        grad = mean_gradient(spec, params, data)
+        grad = mean_gradient(spec, params, data, work=work)
         values = params.values - lr * grad
         if not np.all(np.isfinite(values)):
             raise NumericError(f"pretraining diverged at epoch {epoch}")

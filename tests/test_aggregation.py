@@ -41,21 +41,21 @@ def w0(seed=0):
 
 def test_equal_counts_give_uniform_weights():
     weights = compute_weights([(0, 7), (1, 7), (2, 7), (3, 7)])
-    assert [w.p_k for w in weights] == pytest.approx([0.25] * 4, abs=0)
+    assert list(weights.values()) == pytest.approx([0.25] * 4, abs=0)
 
 
 def test_two_client_weights():
     weights = compute_weights([(0, 1), (1, 3)])
-    assert [w.p_k for w in weights] == pytest.approx([0.25, 0.75], abs=0)
+    assert list(weights.values()) == pytest.approx([0.25, 0.75], abs=0)
 
 
 def test_weights_match_exact_rational_oracle():
     counts = [(0, 7), (1, 11), (2, 13)]
     weights = compute_weights(counts)
     exact = [Fraction(n, 31) for _, n in counts]
-    for w, frac in zip(weights, exact):
-        assert w.p_k == pytest.approx(float(frac), abs=1e-16)
-    assert sum(w.p_k for w in weights) == pytest.approx(1.0, abs=1e-12)
+    for p_k, frac in zip(weights.values(), exact):
+        assert p_k == pytest.approx(float(frac), abs=1e-16)
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_count_client_rejected():
@@ -127,6 +127,18 @@ def test_result_independent_of_update_order():
     a = aggregate(base, updates, AggregationOp("fedavg"))
     b = aggregate(base, list(reversed(updates)), AggregationOp("fedavg"))
     assert np.array_equal(a.values, b.values)
+
+
+def test_updates_with_another_mask_are_refused():
+    base = w0(8)
+    shared = update_for(0, np.ones(MASK.trainable_count))
+    aggregate(base, [shared, update_for(1, np.ones(MASK.trainable_count))], AggregationOp("fedavg"))
+    hidden_bias = make_mask(LAYOUT, ["hidden.bias"])  # other coordinates, other count
+    shifted = MASK.indices - 1  # same count, other coordinates
+    for indices in (hidden_bias.indices, shifted, MASK.indices[:-1]):
+        other = MaskedUpdate(1, 0, indices, np.ones(indices.size), 1, 10)
+        with pytest.raises(ProtocolError, match="coordinate mask"):
+            aggregate(base, [shared, other], AggregationOp("fedavg"))
 
 
 def test_error_paths():

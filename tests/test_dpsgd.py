@@ -232,14 +232,6 @@ def test_noisy_mean_moments_monte_carlo():
     assert np.all(np.abs(noise.var(axis=0) - sigma**2 * clip**2) <= 0.05 * sigma**2 * clip**2)
 
 
-def test_noisy_mean_batch_scaling_flag():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    plain = noisy_mean(rows, 2.0, 1.0, noise_seed=5)
-    scaled = noisy_mean(rows, 2.0, 1.0, noise_seed=5, scale_noise_by_batch=True)
-    base = rows.mean(axis=0)
-    assert scaled - base == pytest.approx((plain - base) / 4.0, rel=1e-12)
-
-
 def test_noisy_mean_rejects_empty_batch():
     with pytest.raises(ShapeError):
         noisy_mean(np.zeros((0, 3)), 1.0, 1.0, noise_seed=0)

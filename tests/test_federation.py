@@ -273,6 +273,22 @@ def test_evaluate_rejects_empty_and_regression():
 # ---------------------------------------------------------------- experiment
 
 
+def test_updates_of_a_run_share_the_read_only_mask_indices(monkeypatch):
+    rounds, original = [], federation.aggregate
+
+    def recording(w_t, updates, op):
+        rounds.append(updates)
+        return original(w_t, updates, op)
+
+    monkeypatch.setattr(federation, "aggregate", recording)
+    train, test = split_train_test(blob_data(80, seed=9), 0.25, 0)
+    run_experiment(base_config(clients=3, mask_layers=("head.weight", "head.bias")), train, test)
+    shared = rounds[0][0].indices
+    assert len(rounds) == 3 and all(len(updates) == 3 for updates in rounds)
+    assert all(u.indices is shared for updates in rounds for u in updates)
+    assert not shared.flags.writeable
+
+
 def test_zero_rounds_returns_initial_params():
     data = blob_data(60, seed=8)
     train, test = split_train_test(data, 0.25, 0)

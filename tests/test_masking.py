@@ -69,6 +69,18 @@ def test_zero_delta_entries_are_retained():
     assert np.all(update.deltas == 0.0)
 
 
+def test_updates_reference_the_read_only_mask_indices():
+    mask = make_mask(LAYOUT, ["head.weight", "head.bias"])
+    w0, w1 = random_params(0), random_params(1)
+    updates = [extract_masked_update(w1, w0, mask, cid, 0, tau=1, n_k=5) for cid in range(3)]
+    assert all(u.indices is mask.indices for u in updates)
+    with pytest.raises(ValueError, match="read-only"):
+        updates[0].indices[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        mask.indices[-1] = 0
+    assert np.array_equal(mask.indices, np.flatnonzero(mask.coordinate_mask))
+
+
 def test_full_mask_extraction_is_dense_difference():
     w0, w1 = random_params(1), random_params(2)
     mask = make_mask(LAYOUT, [name for name, _, _ in LAYOUT])

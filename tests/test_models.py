@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +410,118 @@ def test_pretrain_reports_divergence_epoch():
     data = SampleBatch(np.array([[1e4]]), np.array([0.0]))
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch"):
         pretrain(spec, data, epochs=200, lr=10.0, seed=0)
+
+
+# ---------------------------------------------------------------- workspace
+
+WORK_SPECS = {
+    "linear": ModelSpec("linear", input_dim=9, output_dim=1),
+    "logistic": ModelSpec("logistic", input_dim=9, output_dim=2),
+    "mlp-relu": ModelSpec("mlp", input_dim=9, output_dim=3, hidden_dim=24, activation="relu"),
+    "mlp-tanh": ModelSpec("mlp", input_dim=9, output_dim=3, hidden_dim=24, activation="tanh"),
+}
+
+
+def work_instance(spec, n, seed):
+    rng = RNG(seed)
+    params = ParameterVector(rng.normal(scale=0.5, size=parameter_count(spec)), layer_layout(spec))
+    x = rng.normal(size=(n, spec.input_dim))
+    x[rng.random(x.shape) < 0.2] = 0.0  # exact zeros pin the sign of zero through relu
+    targets = rng.integers(0, spec.output_dim, size=n) if spec.is_classifier else rng.normal(size=n)
+    return params, SampleBatch(x, targets)
+
+
+def pretrain_with_fresh_buffers(spec, data, epochs, lr, seed):
+    params = init_params(spec, seed)
+    for _ in range(epochs):
+        values = params.values - lr * mean_gradient(spec, params, data)
+        params = ParameterVector(values, params.layout)
+    return params
+
+
+@pytest.mark.parametrize("name", list(WORK_SPECS))
+def test_a_workspace_keeps_the_bytes_of_fresh_buffers(name):
+    spec = WORK_SPECS[name]
+    work = {}  # one workspace for every row count, so each call reshapes it
+    for n in (20, 1, 7, *range(1, 71), 480):
+        params, batch = work_instance(spec, n, seed=n)
+        fresh = mean_gradient(spec, params, batch)
+        assert mean_gradient(spec, params, batch, work=work).tobytes() == fresh.tobytes()
+        assert work and all(buf.shape[0] == n for buf in work.values())
+        expected = pretrain_with_fresh_buffers(spec, batch, 3, 0.05, seed=n)
+        assert pretrain(spec, batch, 3, 0.05, seed=n).values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("name", list(WORK_SPECS))
+def test_pretrain_walks_in_one_workspace_across_its_epochs(name, monkeypatch):
+    walks, original = [], models._walk
+
+    def spy(spec, params, x, work):
+        steps = original(spec, params, x, work)
+        walks.append((work, [(a, z) for _, _, a, z in steps]))  # kept alive: ids stay unique
+        return steps
+
+    monkeypatch.setattr(models, "_walk", spy)
+    spec = WORK_SPECS[name]
+    _, data = work_instance(spec, 30, seed=3)
+    pretrain(spec, data, epochs=6, lr=0.05, seed=0)
+    assert len(walks) == 6
+    first_work, first_arrays = walks[0]
+    for work, arrays in walks[1:]:
+        assert work is first_work
+        for (a, z), (a0, z0) in zip(arrays, first_arrays):
+            assert a is a0 and z is z0
+
+
+@pytest.mark.parametrize("name", list(WORK_SPECS))
+def test_results_never_alias_a_reused_buffer(name):
+    spec = WORK_SPECS[name]
+    params, first = work_instance(spec, 12, seed=4)
+    _, second = work_instance(spec, 12, seed=5)
+    losses, preds = forward(spec, params, first)
+    kept = preds.copy()
+    forward(spec, params, second)
+    mean_gradient(spec, params, second)
+    assert preds.tobytes() == kept.tobytes()  # the linear head's predictions are its z
+    work = {}
+    grad = mean_gradient(spec, params, first, work=work)
+    kept = grad.copy()
+    assert not any(np.shares_memory(grad, buf) for buf in work.values())
+    mean_gradient(spec, params, second, work=work)
+    assert grad.tobytes() == kept.tobytes()
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from dpfedsim import ModelSpec, SampleBatch, pretrain
+
+spec = ModelSpec("mlp", input_dim=64, output_dim=4, hidden_dim=256, activation="tanh")
+rng = np.random.default_rng(0)
+data = SampleBatch(rng.normal(size=(480, 64)), rng.integers(0, 4, size=480))
+
+
+def faults(epochs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pretrain(spec, data, epochs, 0.1, 0)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+faults(2)  # warm-up: imports, BLAS buffers, allocator arenas
+print(faults(20) - faults(2))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_pretrain_epochs_fault_in_no_fresh_pages():
+    # Walking 480 x 64->256->4 in fresh arrays allocates about 4.6 MB an epoch
+    # that glibc returns to the kernel when freed: about 1 168 minor faults an
+    # epoch.  One workspace for all epochs leaves epochs 3-20 almost none.
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 18 * 100
