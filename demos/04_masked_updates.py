@@ -4,6 +4,7 @@
 import numpy as np
 
 from dpfedsim import (
+    CommModel,
     DpConfig,
     ModelSpec,
     deserialize_update,
@@ -12,8 +13,8 @@ from dpfedsim import (
     init_params,
     layer_layout,
     make_mask,
-    payload_bytes,
     serialize_update,
+    traffic_per_round,
 )
 
 spec = ModelSpec("mlp", input_dim=2, output_dim=2, hidden_dim=8)
@@ -33,9 +34,10 @@ print("update indices:", update.indices)
 print("backbone untouched:",
       np.array_equal(w1.values[~mask.coordinate_mask], w0.values[~mask.coordinate_mask]))
 
-# payload model: dense sends values only, sparse pays for indices + header
-print("\npayload bytes dense-f32 :", payload_bytes(update, "dense-f32"))
-print("payload bytes sparse    :", payload_bytes(update, "sparse-idx32-f32"))
+# traffic model: dense sends values only, sparse pays for indices + header
+comm = CommModel(bandwidth_mbps=25.0 / 3.0, full_model_bytes=4.0 * mask.total_count)
+print("\ntraffic bytes dense-f32 :", traffic_per_round(mask, comm, "dense-f32"))
+print("traffic bytes sparse    :", traffic_per_round(mask, comm, "sparse-idx32-f32"))
 
 # the actual wire form round-trips through float32 values
 blob = serialize_update(update, total_dim=mask.total_count, encoding="dense-f32")

@@ -37,11 +37,9 @@ from .federation import (
 from .masking import (
     MaskedUpdate,
     PartitionMask,
-    apply_masked_update,
     deserialize_update,
     extract_masked_update,
     make_mask,
-    payload_bytes,
     serialize_update,
 )
 from .models import (

@@ -23,13 +23,12 @@ FORMULA_TAG = "tls-sqrt-composition"
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Inputs to the accountant; clip_norm is carried for reporting only."""
+    """Inputs to the accountant."""
 
     sampling_ratio: float
     noise_multiplier: float
     epochs: int
     delta: float = 1e-4
-    clip_norm: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.sampling_ratio <= 1.0):

@@ -59,6 +59,8 @@ def aggregate(
         # updates cut with one mask share its read-only index array
         if u.indices is not first.indices and not np.array_equal(u.indices, first.indices):
             raise ProtocolError("updates do not share a coordinate mask")
+    if first.entry_count and not 0 <= first.indices[0] <= first.indices[-1] < w_t.dim:
+        raise ShapeError(f"update indices fall outside the {w_t.dim} parameters")
     if op.kind == "fednova":
         for u in ordered:
             if u.tau < 1:

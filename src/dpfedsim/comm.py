@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ShapeError
-from .masking import PartitionMask, sparse_payload_bytes
+from .masking import PartitionMask
 
 MB = 1_000_000  # metrics use SI megabytes
 
@@ -59,11 +59,11 @@ class RoundRecord:
 def traffic_per_round(
     mask: PartitionMask, comm: CommModel, encoding: str = "dense-f32"
 ) -> float:
-    """Upstream bytes per client per round for a full masked update."""
+    """Upstream bytes per client per round for a full masked update; the one traffic model."""
     if encoding == "dense-f32":
         payload = mask.trainable_fraction * comm.full_model_bytes
     elif encoding == "sparse-idx32-f32":
-        payload = float(sparse_payload_bytes(mask.trainable_count))
+        payload = float(16 + 8 * mask.trainable_count)  # header, (index, value) pairs
     else:
         raise ShapeError(f"unknown encoding {encoding!r}")
     return payload + comm.per_message_overhead_bytes

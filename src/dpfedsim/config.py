@@ -5,15 +5,15 @@ rather than ignored, in files and in --set overrides alike.  parse_config
 resolves a file plus overrides into a fully-populated value table and an
 ExperimentConfig.  This module only maps keys onto the dataclasses, which
 check their own rules; it checks the dataset source itself, and whatever it
-rejects is raised as a ConfigError.  When privacy.target_epsilon is set, the noise
-multiplier is solved from the client shards the run will train on and echoed
-in the resolved dump.  The dump format is versioned and round-trips through
-the parser to an identical configuration.
+rejects is raised as a ConfigError.  When privacy.target_epsilon is set, the
+noise multiplier is solved from the client shards the run will train on and
+echoed in the resolved dump, and load_dataset reuses that split.  The dump
+format is versioned and round-trips to an identical configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregation import AggregationOp
@@ -91,10 +91,12 @@ SCHEMA: dict[str, tuple[str, object]] = {
 
 @dataclass
 class ResolvedConfig:
-    """Fully-defaulted value table plus the structured experiment it encodes."""
+    """Fully-defaulted value table, the experiment it encodes, and the (train,
+    test) split that solving a target_epsilon loaded (None without a target)."""
 
     values: dict[str, object]
     experiment: ExperimentConfig
+    data: tuple[SampleBatch, SampleBatch] | None = field(default=None, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -199,14 +201,15 @@ def resolve_raw(
     _check_dataset_source(values)
     try:
         experiment = _build_experiment(values)
+        data = None
         if experiment.target_epsilon is not None:
-            train, _ = _load(values)
-            _, shards = client_shards(experiment, train)
+            data = _load(values)
+            _, shards = client_shards(experiment, data[0])
             values["dp.noise_multiplier"] = sigma_for_shards(experiment, shards)
             experiment = _build_experiment(values)
     except (ShapeError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    return ResolvedConfig(values=values, experiment=experiment)
+    return ResolvedConfig(values=values, experiment=experiment, data=data)
 
 
 def rendered_raw(resolved: ResolvedConfig) -> dict[str, str]:
@@ -308,7 +311,9 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
 
 
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
-    """Materialize (train, test) splits for a resolved configuration."""
+    """(train, test) splits of a configuration; a target solve's split is reused."""
+    if resolved.data is not None:
+        return resolved.data
     return _load(resolved.values)
 
 

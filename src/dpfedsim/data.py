@@ -91,10 +91,13 @@ def split_train_test(
 
 
 def load_delimited(path: str | Path, delimiter: str = ",") -> SampleBatch:
-    """Numeric table with the class label in the last column."""
+    """Numeric table of finite values with the class label in the last column."""
     table = np.loadtxt(path, delimiter=delimiter, ndmin=2)
     if table.shape[1] < 2:
         raise ShapeError("need at least one feature column plus the label column")
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ShapeError(f"{path}: row {bad[0] + 1} holds a non-finite value")
     labels = table[:, -1]
     if np.all(labels == np.floor(labels)):
         targets: np.ndarray = labels.astype(np.int64)

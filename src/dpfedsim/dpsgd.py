@@ -59,8 +59,8 @@ class SamplerPlan:
 
     ``shuffle`` partitions a fresh permutation into consecutive batches, so
     every sample is used exactly once per epoch (the partial final batch is
-    kept).  ``poisson`` includes each sample independently with rate
-    q = batch_size / dataset_size and exists for contrast in tests.
+    kept).  ``poisson``, equally supported, includes each sample independently
+    with rate q = batch_size / dataset_size, so a batch may even be empty.
     """
 
     mode: str

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -218,8 +219,6 @@ def _dirichlet_parts(
 
 def evaluate(spec: ModelSpec, params: ParameterVector, test_set: SampleBatch) -> EvalResult:
     """Mean loss and argmax accuracy (ties resolve to the lowest class index)."""
-    if test_set.size < 1:
-        raise ShapeError("test set is empty")
     if not spec.is_classifier:
         raise ShapeError("accuracy is only defined for classification models")
     losses, scores = forward(spec, params, test_set)
@@ -298,7 +297,8 @@ def initial_params(cfg: ExperimentConfig, public: SampleBatch | None) -> Paramet
 
 
 def _select_participants(cfg: ExperimentConfig, round_index: int) -> list[int]:
-    count = math.ceil(cfg.participation_fraction * cfg.clients)
+    # exact decimal product: 0.07 * 100 is 7.000000000000001 in floats
+    count = math.ceil(Fraction(repr(cfg.participation_fraction)) * cfg.clients)
     rng = generator(derive_seed(cfg.seeds.global_seed, STREAM_SELECT, round_index))
     chosen = rng.permutation(cfg.clients)[:count]
     return sorted(int(c) for c in chosen)
@@ -363,8 +363,6 @@ def run_experiment(
     with the error message attached.
     """
     cfg.validate()
-    if test_data.size < 1:
-        raise ConfigError("test set is empty")
     public, shards = client_shards(cfg, train_data)
     w = initial_params(cfg, public)
     mask = make_mask(layer_layout(cfg.model), cfg.resolved_mask_layers())

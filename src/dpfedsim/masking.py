@@ -24,7 +24,6 @@ _ENCODING_CODES = {"dense-f32": 1, "sparse-idx32-f32": 2}
 _CODE_ENCODINGS = {v: k for k, v in _ENCODING_CODES.items()}
 _HEADER = struct.Struct("<4sHHII")  # magic, version, encoding, client_id, round
 _BODY = struct.Struct("<IIII")  # tau, n_k, total_dim, entry_count
-SPARSE_HEADER_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -123,34 +122,6 @@ def extract_masked_update(
     return MaskedUpdate(client_id, round_index, mask.indices, deltas, tau, n_k)
 
 
-def apply_masked_update(w_old: ParameterVector, update: MaskedUpdate) -> ParameterVector:
-    """Add the update onto w_old; coordinates outside it stay bit-identical."""
-    if update.entry_count and int(update.indices[-1]) >= w_old.dim:
-        raise ShapeError("update index out of range for the parameter vector")
-    values = w_old.values.copy()
-    values[update.indices] += update.deltas
-    return ParameterVector(values, w_old.layout)
-
-
-def sparse_payload_bytes(entry_count: int) -> int:
-    """Modeled sparse-idx32-f32 payload: a fixed header plus (index, value) pairs."""
-    return SPARSE_HEADER_BYTES + 8 * entry_count
-
-
-def payload_bytes(update: MaskedUpdate, encoding: str = "dense-f32") -> int:
-    """Modeled upstream bytes for one update.
-
-    dense-f32 sends values only (coordinate order is implied by the
-    round-invariant mask); sparse-idx32-f32 sends (index, value) pairs plus a
-    fixed 16-byte header.
-    """
-    if encoding == "dense-f32":
-        return 4 * update.entry_count
-    if encoding == "sparse-idx32-f32":
-        return sparse_payload_bytes(update.entry_count)
-    raise ShapeError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
-
-
 def serialize_update(update: MaskedUpdate, total_dim: int, encoding: str = "dense-f32") -> bytes:
     """Binary wire form: 16-byte header, 16-byte body, then the payload.
 
@@ -198,5 +169,7 @@ def deserialize_update(blob: bytes, mask: PartitionMask | None = None) -> Masked
         if len(payload) != 8 * count:
             raise ProtocolError("sparse payload has the wrong size")
         indices = np.frombuffer(payload[: 4 * count], dtype="<u4").astype(np.int64)
+        if np.any(indices >= total_dim):
+            raise ProtocolError(f"sparse index out of range for total_dim {total_dim}")
         values = np.frombuffer(payload[4 * count :], dtype="<f4").astype(np.float64)
     return MaskedUpdate(client_id, round_index, indices, values, tau, n_k)

@@ -155,3 +155,13 @@ def test_error_paths():
     bad_tau = update_for(1, np.zeros(MASK.trainable_count), tau=0)
     with pytest.raises(DomainError):
         aggregate(base, [u0, bad_tau], AggregationOp("fednova"))
+
+
+def test_update_indices_outside_the_parameters_are_refused():
+    base = w0(9)
+    for indices in (np.array([0, DIM]), np.array([5, 1000]), np.array([-1, 3])):
+        update = MaskedUpdate(0, 0, indices, np.ones(2), 1, 10)
+        with pytest.raises(ShapeError, match="outside"):
+            aggregate(base, [update], AggregationOp("fedavg"))
+    edge = MaskedUpdate(0, 0, np.array([0, DIM - 1]), np.ones(2), 1, 10)
+    assert aggregate(base, [edge], AggregationOp("fedavg")).values[DIM - 1] == base.values[DIM - 1] + 1.0

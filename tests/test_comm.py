@@ -45,6 +45,28 @@ def test_zero_trainable_costs_overhead_only():
     assert traffic_per_round(mask_with(0, 50), comm) == 8.0
 
 
+def test_dense_traffic_is_four_bytes_per_trainable_coordinate():
+    # at full_model_bytes = 4 * d, (d_t / d) * B_f is 4 * d_t up to the last bit
+    # (d_t = 7, d = 25 gives 28.000000000000004)
+    for d in range(1, 61):
+        comm = CommModel(1.0, 4.0 * d)
+        for d_t in range(d + 1):
+            assert traffic_per_round(mask_with(d_t, d), comm) == pytest.approx(4 * d_t, rel=1e-15)
+
+
+def test_sparse_traffic_header_only_when_empty():
+    comm = CommModel(1.0, 4.0 * 50)
+    assert traffic_per_round(mask_with(0, 50), comm, "sparse-idx32-f32") == 16.0
+    assert traffic_per_round(mask_with(0, 50), comm, "dense-f32") == 0.0
+    assert traffic_per_round(mask_with(8, 50), comm, "sparse-idx32-f32") == 16.0 + 8 * 8
+
+
+def test_traffic_ratio_identity_under_dense_encoding():
+    comm = CommModel(1.0, 4.0 * 17)
+    ratio = traffic_per_round(mask_with(8, 17), comm) / traffic_per_round(mask_with(17, 17), comm)
+    assert ratio == pytest.approx(8 / 17, rel=1e-15)
+
+
 def test_reference_scale_traffic_and_delay():
     # 0.0021 of a 1456 MB model is ~3.06 MB, within 2% of the 3.10 MB reference;
     # at the back-solved 8.33 MB/s the delays are 0.37 s vs 174.72 s (~470x)

@@ -119,6 +119,51 @@ def test_file_dataset_source(tmp_path):
     assert train.size == 30 and test.size == 10
 
 
+def nan_cell_cfg(tmp_path, extra=()):
+    csv = tmp_path / "rows.csv"
+    rows = ["%f,%f,%d" % (i * 0.1, -i * 0.2, i % 2) for i in range(40)]
+    rows[3] = "nan,0.5,1"
+    csv.write_text("\n".join(rows) + "\n")
+    return write_cfg(tmp_path, ["dataset.source = file", f"dataset.path = {csv}", *extra])
+
+
+def test_non_finite_data_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(["federated", "--config", str(nan_cell_cfg(tmp_path)), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "row 4 holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="row 4"):
+        parse_config(nan_cell_cfg(tmp_path, ["privacy.target_epsilon = 1.0"]))
+
+
+def test_target_epsilon_materializes_the_data_once(tmp_path, monkeypatch):
+    from dpfedsim import config
+
+    path = write_cfg(tmp_path, extra=["privacy.target_epsilon = 0.65", "local_epochs = 2"])
+    fresh = parse_config(path)
+    want_train, want_test = config._load(fresh.values)
+    want = run_experiment(fresh.experiment, want_train, want_test).records
+    calls = []
+    counted = config.make_dataset
+
+    def counting(spec):
+        calls.append(spec)
+        return counted(spec)
+
+    monkeypatch.setattr(config, "make_dataset", counting)
+    resolved = parse_config(path)
+    train, test = load_dataset(resolved)
+    assert len(calls) == 1
+    assert resolved == fresh and "data=" not in repr(resolved)
+    assert resolved.experiment.dp.noise_multiplier == fresh.experiment.dp.noise_multiplier
+    assert np.array_equal(train.inputs, want_train.inputs)
+    assert np.array_equal(test.targets, want_test.targets)
+    assert run_experiment(resolved.experiment, train, test).records == want
+    without = parse_config(write_cfg(tmp_path))
+    assert without.data is None and len(calls) == 1
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -65,3 +65,11 @@ def test_load_delimited(tmp_path):
     assert batch.inputs.shape == (3, 2)
     assert batch.targets.dtype == np.int64
     assert batch.targets.tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_delimited_rejects_non_finite_values_naming_the_row(tmp_path, cell):
+    path = tmp_path / "toy.csv"
+    path.write_text(f"0.5,1.5,0\n-1.0,2.0,1\n0.0,{cell},1\n1.0,{cell},0\n")
+    with pytest.raises(ShapeError, match="row 3 holds a non-finite value"):
+        load_delimited(path)

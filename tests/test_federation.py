@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dpfedsim import (
+    AggregationOp,
     ConfigError,
     DpConfig,
     ExperimentConfig,
@@ -16,6 +17,7 @@ from dpfedsim import (
     SamplerPlan,
     Seeds,
     ShapeError,
+    aggregate,
     clip_per_sample,
     evaluate,
     init_params,
@@ -30,7 +32,6 @@ from dpfedsim import federation
 from dpfedsim.comm import render_rounds_table
 from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
-from dpfedsim.masking import apply_masked_update
 
 DATA_DIR = Path(__file__).parent / "data"
 RNG = np.random.default_rng
@@ -178,7 +179,7 @@ def test_run_local_updates_only_masked_indices():
     plan = SamplerPlan("shuffle", 8, shard.n_k, shard.rng_seed)
     update = run_local(MLP, shard, w, mask, DpConfig(1.0, 0.8, 0.1), plan, 2, 0)
     assert np.array_equal(update.indices, mask.indices)
-    rebuilt = apply_masked_update(w, update)
+    rebuilt = aggregate(w, [update], AggregationOp("fedavg"))
     frozen = ~mask.coordinate_mask
     assert np.array_equal(rebuilt.values[frozen], w.values[frozen])
 
@@ -380,7 +381,7 @@ def test_epsilon_monotone_and_closed_form():
     from dpfedsim import PrivacyParams, compose_rounds
 
     n_k = 36  # 72 train rows over 2 clients
-    per_round = PrivacyParams(6 / n_k, 0.5, 2, cfg.delta, 1.0)
+    per_round = PrivacyParams(6 / n_k, 0.5, 2, cfg.delta)
     for t, r in enumerate(result.records, start=1):
         assert r.epsilon_to_date == pytest.approx(compose_rounds(per_round, t).epsilon, rel=1e-12)
 
@@ -414,6 +415,15 @@ def test_partial_participation_selects_ceil():
     cfg = base_config(clients=3, participation_fraction=0.5, rounds=4)
     result = run_experiment(cfg, train, test)
     assert all(r.participants == 2 for r in result.records)  # ceil(1.5)
+
+
+@pytest.mark.parametrize(
+    "fraction, clients, count", [(0.07, 100, 7), (0.14, 50, 7), (0.5, 3, 2), (0.6, 3, 2)]
+)
+def test_participant_count_is_the_exact_decimal_ceil(fraction, clients, count):
+    # in floats 0.07 * 100 is 7.000000000000001, whose ceil would pick 8 clients
+    cfg = base_config(clients=clients, participation_fraction=fraction)
+    assert len(federation._select_participants(cfg, 0)) == count
 
 
 def test_full_determinism_of_records():

@@ -1,4 +1,4 @@
-"""Partition masks, masked update extraction, payload model, wire format."""
+"""Partition masks, masked update extraction, wire format."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,13 @@ from dpfedsim import (
     MaskedUpdate,
     ModelSpec,
     ParameterVector,
+    AggregationOp,
     ShapeError,
-    apply_masked_update,
+    aggregate,
     deserialize_update,
     extract_masked_update,
     layer_layout,
     make_mask,
-    payload_bytes,
     serialize_update,
 )
 from dpfedsim.errors import NumericError, ProtocolError
@@ -106,8 +106,9 @@ def test_round_trip_apply_reproduces_masked_coordinates():
     w0, w1 = random_params(5), random_params(6)
     mask = make_mask(LAYOUT, ["hidden.bias", "head.weight"])
     update = extract_masked_update(w1, w0, mask, 0, 0, tau=2, n_k=3)
-    rebuilt = apply_masked_update(w0, update)
-    # apply is exactly w0 + delta; that lands within one rounding of w1
+    rebuilt = aggregate(w0, [update], AggregationOp("fedavg"))
+    # one update has weight 1.0, so this is exactly w0 + delta; that lands
+    # within one rounding of w1
     assert np.array_equal(
         rebuilt.values[mask.indices], w0.values[mask.indices] + update.deltas
     )
@@ -142,29 +143,6 @@ def test_nonfinite_update_is_a_numeric_error():
 # ---------------------------------------------------------------- payloads
 
 
-def test_dense_payload_is_four_bytes_per_coordinate():
-    w = random_params(7)
-    mask = make_mask(LAYOUT, ["head.weight", "head.bias"])
-    update = extract_masked_update(w, w, mask, 0, 0, 1, 1)
-    assert payload_bytes(update, "dense-f32") == 32  # 8 coords * 4 bytes
-
-
-def test_sparse_payload_header_only_when_empty():
-    update = MaskedUpdate(0, 0, np.zeros(0, dtype=np.int64), np.zeros(0), 1, 1)
-    assert payload_bytes(update, "sparse-idx32-f32") == 16
-    assert payload_bytes(update, "dense-f32") == 0
-
-
-def test_traffic_ratio_identity_under_dense_encoding():
-    full = make_mask(LAYOUT, [name for name, _, _ in LAYOUT])
-    head = make_mask(LAYOUT, ["head.weight", "head.bias"])
-    w = random_params(8)
-    up_full = extract_masked_update(w, w, full, 0, 0, 1, 1)
-    up_head = extract_masked_update(w, w, head, 0, 0, 1, 1)
-    ratio = payload_bytes(up_head, "dense-f32") / payload_bytes(up_full, "dense-f32")
-    assert ratio == head.trainable_count / head.total_count
-
-
 def test_reference_scale_masked_payload():
     # at trainable fraction 0.0021 a 1456 MB full model compresses to ~3.06 MB,
     # within 2% of the 3.10 MB reference point
@@ -197,6 +175,17 @@ def test_serialize_sparse_round_trip_without_mask():
     back = deserialize_update(blob)
     assert np.array_equal(back.indices, update.indices)
     assert np.array_equal(back.deltas, update.deltas)  # exactly representable in f32
+
+
+def test_deserialize_rejects_sparse_index_out_of_range():
+    for index in (DIM, 1000):
+        update = MaskedUpdate(1, 2, np.array([0, index]), np.array([0.5, 0.5]), 2, 9)
+        blob = serialize_update(update, total_dim=DIM, encoding="sparse-idx32-f32")
+        with pytest.raises(ProtocolError, match="out of range"):
+            deserialize_update(blob)
+    last = MaskedUpdate(1, 2, np.array([0, DIM - 1]), np.array([0.5, 0.5]), 2, 9)
+    back = deserialize_update(serialize_update(last, DIM, "sparse-idx32-f32"))
+    assert back.indices.tolist() == [0, DIM - 1]
 
 
 def test_deserialize_rejects_bad_magic_and_size():
