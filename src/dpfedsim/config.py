@@ -26,9 +26,10 @@ from .federation import (
     ExperimentConfig,
     Seeds,
     client_shards,
+    default_comm,
     sigma_for_shards,
 )
-from .models import ModelSpec, SampleBatch, parameter_count
+from .models import ModelSpec, SampleBatch
 
 DUMP_VERSION = "# dpfedsim resolved config v1"
 RESOLVED_FILE = "resolved_config.txt"
@@ -256,7 +257,7 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
 
     full_bytes = str(values["comm.full_model_bytes"]).strip()
     if full_bytes == "auto":
-        b_f = 4.0 * parameter_count(model)
+        b_f = default_comm(model).full_model_bytes
     else:
         try:
             b_f = float(full_bytes)

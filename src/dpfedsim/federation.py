@@ -354,6 +354,11 @@ def _client_epsilon(cfg: ExperimentConfig, shard: ClientShard, rounds_participat
     return compose_rounds(per_round, rounds_participated).epsilon
 
 
+def default_comm(spec: ModelSpec) -> CommModel:
+    """The link of a run that sets none: B_f = 4 d, every parameter one float32."""
+    return CommModel(DEFAULT_BANDWIDTH_MBPS, 4.0 * parameter_count(spec), 0.0)
+
+
 def run_experiment(
     cfg: ExperimentConfig, train_data: SampleBatch, test_data: SampleBatch
 ) -> ExperimentResult:
@@ -367,7 +372,7 @@ def run_experiment(
     w = initial_params(cfg, public)
     mask = make_mask(layer_layout(cfg.model), cfg.resolved_mask_layers())
     d = parameter_count(cfg.model)
-    comm = cfg.comm or CommModel(DEFAULT_BANDWIDTH_MBPS, 4.0 * d, 0.0)
+    comm = cfg.comm or default_comm(cfg.model)
     bytes_up = traffic_per_round(mask, comm, cfg.encoding)
     if cfg.masked_broadcast:
         bytes_down = bytes_up

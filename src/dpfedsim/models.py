@@ -11,8 +11,11 @@ Parameters live in a single flat float64 vector with named, contiguous layer
 ranges, which makes freezing and transport pure index operations.  Layout,
 initialization, the forward pass and both gradient forms are one walk over
 the stack; gradients are hand-rolled vectorized backprop, checked against
-finite differences in the tests.  ``per_sample_gradients(..., layers=names)``
-stops backprop at the lowest layer that owns one of the named parameters.
+finite differences in the tests.  A hidden layer walks in one batch-sized
+buffer plus its delta: its activation overwrites its pre-activation, and
+backprop overwrites the activation with its derivative once it is used.
+``per_sample_gradients(..., layers=names)`` stops backprop at the lowest
+layer that owns one of the named parameters.
 """
 
 from __future__ import annotations
@@ -26,16 +29,16 @@ from .errors import NumericError, ShapeError
 from .rng import STREAM_INIT, derive_seed, generator
 
 KINDS = ("linear", "logistic", "mlp")
-# activation name -> (function, its derivative given the pre- and post-activation),
-# each written into ``out``
+# activation name -> (function of the pre-activation, derivative given the activation),
+# each written into ``out``, which may be the input; relu's a > 0 equals pre > 0
 ACTIVATIONS = {
     "relu": (
         lambda pre, out: np.maximum(pre, 0.0, out=out),
-        lambda pre, post, out: np.greater(pre, 0.0, out=out),
+        lambda a, out: np.greater(a, 0.0, out=out),
     ),
     "tanh": (
         lambda pre, out: np.tanh(pre, out=out),
-        lambda pre, post, out: np.subtract(1.0, np.multiply(post, post, out=out), out=out),
+        lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out),
     ),
 }
 
@@ -183,12 +186,9 @@ class SampleBatch:
 def _check_inputs(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) -> None:
     expected = layer_layout(spec)
     if params.layout != expected:
-        for (got_n, got_o, got_l), (want_n, want_o, want_l) in zip(params.layout, expected):
-            if (got_n, got_o, got_l) != (want_n, want_o, want_l):
-                raise ShapeError(
-                    f"layer {want_n!r}: got ({got_n!r}, {got_o}, {got_l}), "
-                    f"expected ({want_n!r}, {want_o}, {want_l})"
-                )
+        for got, want in zip(params.layout, expected):
+            if got != want:
+                raise ShapeError(f"layer {want[0]!r}: got {got}, expected {want}")
         raise ShapeError(
             f"layout has {len(params.layout)} layers, model expects {len(expected)}"
         )
@@ -262,16 +262,15 @@ def _buffer(work: dict, key, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict) -> list:
-    """Forward pass; per layer, bottom first: (layer, W, input a, pre-activation z).
-    Each layer's z and activation are written into the workspace ``work``."""
+    """Forward pass; per layer, bottom first: (layer, W, input a, output z), z in
+    the workspace ``work``.  A hidden layer's activation overwrites its z in place."""
     steps, a = [], x
     for i, layer in enumerate(_stack(spec)):
         w = params.layer(layer.weight).reshape(layer.fan_out, layer.fan_in)
-        z = _buffer(work, ("pre", i), (x.shape[0], layer.fan_out))
+        z = _buffer(work, ("z", i), (x.shape[0], layer.fan_out))
         np.add(np.matmul(a, w.T, out=z), params.layer(layer.bias), out=z)
         steps.append((layer, w, a, z))
-        act = layer.activation
-        a = ACTIVATIONS[act][0](z, _buffer(work, ("post", i), z.shape)) if act else z
+        a = ACTIVATIONS[layer.activation][0](z, z) if layer.activation else z
     return steps
 
 
@@ -281,8 +280,8 @@ def _backprop(
     """Yield (layer, input activation, output delta) from the head down to the
     lowest layer that owns one of ``names``; no delta is formed below it.  The
     head's delta is divided by ``divisor`` before it is propagated.  The walk
-    and the deltas below the head live in the workspace ``work`` (fresh by
-    default): the next walk in it overwrites what was yielded."""
+    and deltas live in the workspace ``work`` (fresh by default): resuming
+    overwrites a yielded activation with its derivative, the next walk the rest."""
     work = {} if work is None else work
     steps = _walk(spec, params, batch.inputs, work)
     owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & names]
@@ -293,20 +292,16 @@ def _backprop(
         layer, w, a, _ = steps[i]
         yield layer, a, dz
         if i > lowest:
-            below, _, _, pre = steps[i - 1]
-            der = ACTIVATIONS[below.activation][1](pre, a, _buffer(work, ("der", i - 1), a.shape))
+            ACTIVATIONS[steps[i - 1][0].activation][1](a, a)
             dz = np.matmul(dz, w, out=_buffer(work, ("delta", i - 1), a.shape))
-            dz *= der
+            dz *= a
 
 
 def forward(
     spec: ModelSpec, params: ParameterVector, batch: SampleBatch
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and predictions.
-
-    Predictions are class probabilities for classifiers (shape
-    [batch x output_dim]) and raw outputs for regression.
-    """
+    """Per-sample losses and predictions: class probabilities for classifiers
+    (shape [batch x output_dim]), raw outputs for regression."""
     _check_inputs(spec, params, batch)
     z = _walk(spec, params, batch.inputs, {})[-1][3]  # fresh: the linear head returns z itself
     return _HEADS[spec.kind][0](z, batch.targets)[:2]
@@ -400,9 +395,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 
 def save_params(params: ParameterVector, path) -> None:
     """Persist a parameter vector as an .npz archive (values plus layout)."""
-    names = [name for name, _, _ in params.layout]
-    offsets = [offset for _, offset, _ in params.layout]
-    lengths = [length for _, _, length in params.layout]
+    names, offsets, lengths = zip(*params.layout)
     np.savez(
         path,
         values=params.values,

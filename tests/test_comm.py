@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
-from dpfedsim import CommModel, RoundRecord, delay_seconds, traffic_per_round, write_records
+from dpfedsim import (
+    CommModel,
+    MaskedUpdate,
+    ModelSpec,
+    RoundRecord,
+    delay_seconds,
+    layer_layout,
+    make_mask,
+    resolve_raw,
+    serialize_update,
+    traffic_per_round,
+    write_records,
+)
 from dpfedsim.comm import MB, read_summary, render_rounds_table, summarize
+from dpfedsim.federation import default_comm
 from dpfedsim.masking import PartitionMask
 
+RNG = np.random.default_rng
 BANDWIDTH = 1456.0 / 174.72  # back-solved from the reference link: 8.333... MB/s
 
 
@@ -59,6 +73,40 @@ def test_sparse_traffic_header_only_when_empty():
     assert traffic_per_round(mask_with(0, 50), comm, "sparse-idx32-f32") == 16.0
     assert traffic_per_round(mask_with(0, 50), comm, "dense-f32") == 0.0
     assert traffic_per_round(mask_with(8, 50), comm, "sparse-idx32-f32") == 16.0 + 8 * 8
+
+
+WIRE_SPEC = ModelSpec("mlp", input_dim=64, output_dim=4, hidden_dim=256)
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [(), ("head.bias",), ("head.weight", "head.bias"), ("hidden.bias", "head.bias")],
+)
+def test_the_traffic_model_leaves_out_a_fixed_part_of_the_wire_blob(layers):
+    # serialize_update writes a 32-byte header and body that traffic_per_round
+    # does not count; the sparse model's 16 stands for no field of it
+    layout = layer_layout(WIRE_SPEC)
+    mask = make_mask(layout, layers or [name for name, _, _ in layout])
+    comm = default_comm(WIRE_SPEC)  # B_f = 4 d, no per-message overhead
+    deltas = RNG(0).normal(size=mask.trainable_count)
+    update = MaskedUpdate(3, 1, mask.indices, deltas, tau=5, n_k=48)
+    for encoding, gap in (("dense-f32", 32.0), ("sparse-idx32-f32", 16.0)):
+        blob = serialize_update(update, mask.total_count, encoding)
+        assert len(blob) - traffic_per_round(mask, comm, encoding) == pytest.approx(gap, abs=1e-9)
+
+
+def test_the_auto_model_size_is_the_default_link_of_a_run():
+    raw = {
+        "model.kind": "mlp",
+        "model.input_dim": "64",
+        "model.output_dim": "4",
+        "model.hidden_dim": "256",
+        "clients": "10",
+        "rounds": "1",
+    }
+    experiment = resolve_raw(raw).experiment
+    assert experiment.comm == default_comm(experiment.model)
+    assert experiment.comm.full_model_bytes == 4.0 * 17668
 
 
 def test_traffic_ratio_identity_under_dense_encoding():

@@ -1,5 +1,6 @@
 """Model core: forward/gradient correctness against independent oracles."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -525,3 +526,98 @@ def test_pretrain_epochs_fault_in_no_fresh_pages():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) < 18 * 100
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_a_hidden_layer_walks_in_one_buffer_plus_its_delta(activation):
+    # the activation overwrites the layer's z, and its derivative the activation
+    spec = ModelSpec("mlp", input_dim=64, output_dim=4, hidden_dim=256, activation=activation)
+    params, batch = work_instance(spec, 480, seed=0)
+    work = {}
+    mean_gradient(spec, params, batch, work=work)
+    assert sum(buf.size for buf in work.values()) == 2 * 480 * 256 + 480 * 4
+
+
+RSS_PROBE = """
+import numpy as np
+from dpfedsim import ModelSpec, SampleBatch, pretrain
+
+
+def peak_kib():
+    # this process's own high-water mark: ru_maxrss would start at the parent's
+    # peak, which Linux carries across fork and exec
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+spec = ModelSpec("mlp", input_dim=64, output_dim=4, hidden_dim=256, activation="tanh")
+rng = np.random.default_rng(0)
+data = SampleBatch(rng.normal(size=(480, 64)), rng.integers(0, 4, size=480))
+data.inputs @ rng.normal(size=(64, 256))  # warm-up: BLAS buffers for the walk's matmul
+before = peak_kib()
+pretrain(spec, data, 20, 0.1, 0)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's VmHWM")
+def test_pretrain_raises_peak_memory_by_less_than_four_hidden_buffers():
+    # Four 480 x 256 float64 buffers are 3.75 MiB; pretraining in two of them
+    # raises the peak by about 2.1 MiB, against 3.9 MiB with four.
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 3 * 1024
+
+
+# ---------------------------------------------------------------- byte pins
+
+# sha256 over n = 1, 7, 64, 480 of each output's bytes, recorded before the walk
+# reused its buffers in place; any change to the walk's arithmetic moves them.
+WALK_PINS = {
+    ("relu", "forward"): "a857c1d3d9e82ba9a8a762b2216309300c064a072ffbc799696ccb875f379c0a",
+    ("relu", "mean_gradient"): "48e5fb93ffa614a97c65ee3c18878f21034c1c144406aac544dd30fa0be1b1d9",
+    ("relu", "per_sample_gradients"): "bacfa7d14bad5261b7ad5843f47105e9f044b72814088b2d80dfa233d0500744",
+    ("relu", "head_gradients"): "f0e8fa691acc6ef3023a330ad8212e0eb688d92481753784faa0492241b9cdac",
+    ("tanh", "forward"): "27afb183e981000f175e56559e66870c0f36759631d6db7e9d2897e171b4cb18",
+    ("tanh", "mean_gradient"): "4a69e0d6600390c5c50a8c0584d6c8e1a5ed0d1d83f54f6424bf081938f32541",
+    ("tanh", "per_sample_gradients"): "ea4beed3d4e5087f291f5dac3bf7d6642cdc07b9f748c28f845d0bd437f47947",
+    ("tanh", "head_gradients"): "3cd7e91193fd9e847633e6e94d1c819105d8d80148e64fb428fa697877c6c542",
+}
+
+
+def pin_instance(activation, n):
+    spec = ModelSpec("mlp", input_dim=9, output_dim=3, hidden_dim=24, activation=activation)
+    rng = RNG(n)
+    params = ParameterVector(rng.normal(scale=0.5, size=parameter_count(spec)), layer_layout(spec))
+    params.layer("hidden.bias")[::3] = 0.0
+    params.layer("hidden.bias")[1::6] = -0.0
+    x = rng.normal(size=(n, spec.input_dim))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[x < -1.0] = -0.0
+    x[1::4] = 0.0  # whole rows of +-0 meet the zero biases: pre-activations of exactly +-0
+    x[3::4] = -0.0
+    return spec, params, SampleBatch(x, rng.integers(0, spec.output_dim, size=n))
+
+
+def pinned_bytes(quantity, spec, params, batch, work):
+    if quantity == "forward":
+        return b"".join(out.tobytes() for out in forward(spec, params, batch))
+    if quantity == "mean_gradient":
+        fresh = mean_gradient(spec, params, batch).tobytes()
+        assert mean_gradient(spec, params, batch, work=work).tobytes() == fresh
+        return fresh
+    layers = ("head.weight", "head.bias") if quantity == "head_gradients" else None
+    return per_sample_gradients(spec, params, batch, layers=layers).tobytes()
+
+
+@pytest.mark.parametrize("activation,quantity", list(WALK_PINS))
+def test_the_walk_keeps_its_pinned_bytes(activation, quantity):
+    digest, work = hashlib.sha256(), {}  # one workspace for every row count
+    for n in (1, 7, 64, 480):
+        digest.update(pinned_bytes(quantity, *pin_instance(activation, n), work))
+    assert digest.hexdigest() == WALK_PINS[activation, quantity]
