@@ -8,7 +8,6 @@ and summary formats written here are fixed and documented in the README.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,10 +75,15 @@ def delay_seconds(nbytes: float, comm: CommModel) -> float:
     return nbytes / (comm.bandwidth_mbps * MB)
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return repr(value) if isinstance(value, float) else str(value)
+def render_value(value: object) -> str:
+    """A value as the metrics files and the resolved config write it: a float
+    by repr, so it reads back exactly (inf, -inf and nan too), a bool as
+    true/false, anything else by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def render_rounds_table(records: list[RoundRecord]) -> str:
@@ -87,7 +91,7 @@ def render_rounds_table(records: list[RoundRecord]) -> str:
     for r in records:
         lines.append(
             ",".join(
-                _fmt(v)
+                render_value(v)
                 for v in (
                     r.round_index,
                     r.global_loss,
@@ -137,7 +141,7 @@ def write_records(records: list[RoundRecord], out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     (out / ROUNDS_FILE).write_text(render_rounds_table(records))
     summary = summarize(records)
-    lines = [_SUMMARY_VERSION] + [f"{k}={_fmt(v)}" for k, v in summary.items()]
+    lines = [_SUMMARY_VERSION] + [f"{k}={render_value(v)}" for k, v in summary.items()]
     (out / SUMMARY_FILE).write_text("\n".join(lines) + "\n")
     return summary
 

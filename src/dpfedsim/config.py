@@ -1,14 +1,15 @@
 """Experiment configuration: a flat key=value text format with dotted keys.
 
-Every key has a schema entry (type plus default); unknown keys are rejected
-rather than ignored, in files and in --set overrides alike.  parse_config
-resolves a file plus overrides into a fully-populated value table and an
-ExperimentConfig.  This module only maps keys onto the dataclasses, which
-check their own rules; it checks the dataset source itself, and whatever it
-rejects is raised as a ConfigError.  When privacy.target_epsilon is set, the
-noise multiplier is solved from the client shards the run will train on and
-echoed in the resolved dump, and load_dataset reuses that split.  The dump
-format is versioned and round-trips to an identical configuration.
+Every key has one schema row: its type, its default and the field it sets.
+Unknown keys are rejected rather than ignored, in files and in --set
+overrides alike.  parse_config resolves a file plus overrides into a
+fully-populated value table and an ExperimentConfig.  This module only maps
+keys onto the dataclasses, which check their own rules; it checks the
+dataset source itself, and whatever it rejects is raised as a ConfigError.
+When privacy.target_epsilon is set, the noise multiplier is solved from the
+client shards the run will train on and echoed in the resolved dump, and
+load_dataset reuses that split.  The dump format is versioned and
+round-trips to an identical configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregation import AggregationOp
-from .comm import CommModel
+from .comm import CommModel, render_value
 from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
 from .dpsgd import DpConfig
 from .errors import ConfigError, DomainError, ShapeError
@@ -36,57 +37,60 @@ RESOLVED_FILE = "resolved_config.txt"
 
 _REQUIRED = object()
 
-# key -> (type tag, default); order here is the dump order
-SCHEMA: dict[str, tuple[str, object]] = {
-    "name": ("str", "run"),
-    "model.kind": ("str", _REQUIRED),
-    "model.input_dim": ("int", _REQUIRED),
-    "model.output_dim": ("int", _REQUIRED),
-    "model.hidden_dim": ("int", 0),
-    "model.activation": ("str", "tanh"),
-    "clients": ("int", _REQUIRED),
-    "rounds": ("int", _REQUIRED),
-    "local_epochs": ("int", 1),
-    "batch_size": ("int", 32),
-    "participation_fraction": ("float", 1.0),
-    "mask_layers": ("str", "all"),
-    "aggregation": ("str", "fedavg"),
-    "partition": ("str", "iid"),
-    "dirichlet_alpha": ("float", 0.5),
-    "sampler": ("str", "shuffle"),
-    "dp.clip_norm": ("float", 1.0),
-    "dp.noise_multiplier": ("float", 1.0),
-    "dp.learning_rate": ("float", 0.1),
-    "dp.optimizer": ("str", "sgd"),
-    "dp.adam_beta1": ("float", 0.9),
-    "dp.adam_beta2": ("float", 0.999),
-    "dp.adam_eps": ("float", 1e-8),
-    "privacy.delta": ("float", 1e-4),
-    "privacy.target_epsilon": ("float", 0.0),  # 0 means "not set"
-    "seeds.global": ("int", 0),
-    "seeds.data": ("int", None),
-    "seeds.noise": ("int", None),
-    "pretrain.epochs": ("int", 0),
-    "pretrain.lr": ("float", 0.1),
-    "pretrain.public_fraction": ("float", 0.0),
-    "dataset.source": ("str", "synthetic"),
-    "dataset.generator": ("str", "gaussian-blobs"),
-    "dataset.classes": ("int", None),
-    "dataset.samples": ("int", 600),
-    "dataset.input_dim": ("int", None),
-    "dataset.noise_std": ("float", 0.25),
-    "dataset.seed": ("int", None),
-    "dataset.path": ("str", ""),
-    "dataset.test_fraction": ("float", 0.25),
-    "comm.bandwidth_mbps": ("float", DEFAULT_BANDWIDTH_MBPS),
-    "comm.full_model_bytes": ("str", "auto"),
-    "comm.overhead_bytes": ("float", 0.0),
-    "comm.masked_broadcast": ("bool", False),
-    "comm.seconds_per_coord": ("float", 1e-9),
-    "comm.encoding": ("str", "dense-f32"),
-    "sweep.clients": ("str", ""),
-    "sweep.rounds": ("str", ""),
-    "sweep.epsilon": ("str", ""),
+# key -> (type tag, default, field); order here is the dump order.  A default
+# is a constant, _REQUIRED, or a rule over the values of the rows above it.
+# A field "group.name" sets `name` of the model, dp, seeds, comm or dataset
+# object, a bare one sets the ExperimentConfig field, and None sets no field.
+SCHEMA: dict[str, tuple[str, object, str | None]] = {
+    "name": ("str", "run", None),
+    "model.kind": ("str", _REQUIRED, "model.kind"),
+    "model.input_dim": ("int", _REQUIRED, "model.input_dim"),
+    "model.output_dim": ("int", _REQUIRED, "model.output_dim"),
+    "model.hidden_dim": ("int", 0, "model.hidden_dim"),
+    "model.activation": ("str", "tanh", "model.activation"),
+    "clients": ("int", _REQUIRED, "clients"),
+    "rounds": ("int", _REQUIRED, "rounds"),
+    "local_epochs": ("int", 1, "local_epochs"),
+    "batch_size": ("int", 32, "batch_size"),
+    "participation_fraction": ("float", 1.0, "participation_fraction"),
+    "mask_layers": ("str", "all", "mask_layers"),
+    "aggregation": ("str", "fedavg", "aggregation"),
+    "partition": ("str", "iid", "partition"),
+    "dirichlet_alpha": ("float", 0.5, "dirichlet_alpha"),
+    "sampler": ("str", "shuffle", "sampler_mode"),
+    "dp.clip_norm": ("float", 1.0, "dp.clip_norm"),
+    "dp.noise_multiplier": ("float", 1.0, "dp.noise_multiplier"),
+    "dp.learning_rate": ("float", 0.1, "dp.learning_rate"),
+    "dp.optimizer": ("str", "sgd", "dp.optimizer"),
+    "dp.adam_beta1": ("float", 0.9, "dp.adam_beta1"),
+    "dp.adam_beta2": ("float", 0.999, "dp.adam_beta2"),
+    "dp.adam_eps": ("float", 1e-8, "dp.adam_eps"),
+    "privacy.delta": ("float", 1e-4, "delta"),
+    "privacy.target_epsilon": ("float", 0.0, "target_epsilon"),  # 0 means "not set"
+    "seeds.global": ("int", 0, "seeds.global_seed"),
+    "seeds.data": ("int", lambda v: v["seeds.global"] + 1, "seeds.data_seed"),
+    "seeds.noise": ("int", lambda v: v["seeds.global"] + 2, "seeds.noise_seed"),
+    "pretrain.epochs": ("int", 0, "pretrain_epochs"),
+    "pretrain.lr": ("float", 0.1, "pretrain_lr"),
+    "pretrain.public_fraction": ("float", 0.0, "public_fraction"),
+    "dataset.source": ("str", "synthetic", None),
+    "dataset.generator": ("str", "gaussian-blobs", "dataset.generator"),
+    "dataset.classes": ("int", lambda v: v["model.output_dim"], "dataset.classes"),
+    "dataset.samples": ("int", 600, "dataset.samples"),
+    "dataset.input_dim": ("int", lambda v: v["model.input_dim"], "dataset.input_dim"),
+    "dataset.noise_std": ("float", 0.25, "dataset.noise_std"),
+    "dataset.seed": ("int", lambda v: v["seeds.data"], "dataset.seed"),
+    "dataset.path": ("str", "", None),
+    "dataset.test_fraction": ("float", 0.25, None),
+    "comm.bandwidth_mbps": ("float", DEFAULT_BANDWIDTH_MBPS, "comm.bandwidth_mbps"),
+    "comm.full_model_bytes": ("str", "auto", "comm.full_model_bytes"),
+    "comm.overhead_bytes": ("float", 0.0, "comm.per_message_overhead_bytes"),
+    "comm.masked_broadcast": ("bool", False, "masked_broadcast"),
+    "comm.seconds_per_coord": ("float", 1e-9, "seconds_per_coord"),
+    "comm.encoding": ("str", "dense-f32", "encoding"),
+    "sweep.clients": ("str", "", None),
+    "sweep.rounds": ("str", "", None),
+    "sweep.epsilon": ("str", "", None),
 }
 
 
@@ -101,25 +105,17 @@ class ResolvedConfig:
 
     @property
     def name(self) -> str:
-        return str(self.values["name"])
+        return self.values["name"]
 
     def dump(self) -> str:
         lines = [DUMP_VERSION]
         for key in SCHEMA:
-            lines.append(f"{key} = {_render(self.values[key])}")
+            lines.append(f"{key} = {render_value(self.values[key])}")
         return "\n".join(lines) + "\n"
 
 
-def _render(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _coerce(key: str, raw: str) -> object:
-    kind, _ = SCHEMA[key]
+    kind = SCHEMA[key][0]
     raw = raw.strip()
     try:
         if kind == "int":
@@ -191,14 +187,13 @@ def resolve_raw(
         raw.pop("seeds.data", None)
         raw.pop("seeds.noise", None)
     values: dict[str, object] = {}
-    for key, (kind, default) in SCHEMA.items():
+    for key, (_, default, _) in SCHEMA.items():
         if key in raw:
             values[key] = _coerce(key, raw[key])
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:
-            values[key] = default
-    _apply_derived_defaults(values)
+            values[key] = default(values) if callable(default) else default
     _check_dataset_source(values)
     try:
         experiment = _build_experiment(values)
@@ -215,98 +210,54 @@ def resolve_raw(
 
 def rendered_raw(resolved: ResolvedConfig) -> dict[str, str]:
     """The resolved table as raw strings, suitable for re-resolution."""
-    return {key: _render(resolved.values[key]) for key in SCHEMA}
-
-
-def _apply_derived_defaults(values: dict[str, object]) -> None:
-    g = int(values["seeds.global"])
-    if values["seeds.data"] is None:
-        values["seeds.data"] = g + 1
-    if values["seeds.noise"] is None:
-        values["seeds.noise"] = g + 2
-    if values["dataset.classes"] is None:
-        values["dataset.classes"] = int(values["model.output_dim"])
-    if values["dataset.input_dim"] is None:
-        values["dataset.input_dim"] = int(values["model.input_dim"])
-    if values["dataset.seed"] is None:
-        values["dataset.seed"] = int(values["seeds.data"])
+    return {key: render_value(resolved.values[key]) for key in SCHEMA}
 
 
 def _check_dataset_source(values: dict[str, object]) -> None:
-    source = str(values["dataset.source"])
+    source = values["dataset.source"]
     if source not in ("synthetic", "file"):
         raise ConfigError("dataset.source: must be synthetic or file")
-    path = Path(str(values["dataset.path"]))
+    path = Path(values["dataset.path"])
     if source == "file" and not path.is_file():
         raise ConfigError(f"dataset.path: file not found: {path}")
 
 
-def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
-    model = ModelSpec(
-        kind=str(values["model.kind"]),
-        input_dim=int(values["model.input_dim"]),
-        output_dim=int(values["model.output_dim"]),
-        hidden_dim=int(values["model.hidden_dim"]),
-        activation=str(values["model.activation"]),
-    )
-    mask_value = str(values["mask_layers"]).strip()
-    if mask_value in ("all", ""):
-        mask_layers: tuple[str, ...] = ()
-    else:
-        mask_layers = tuple(s.strip() for s in mask_value.split(",") if s.strip())
+def _fields(values: dict[str, object]) -> dict[str, dict[str, object]]:
+    """The values grouped by the object they set, keyed by field name; group
+    "" holds the ExperimentConfig fields."""
+    groups: dict[str, dict[str, object]] = {}
+    for key, (_, _, field_path) in SCHEMA.items():
+        if field_path is not None:
+            group, _, name = field_path.rpartition(".")
+            groups.setdefault(group, {})[name] = values[key]
+    return groups
 
-    full_bytes = str(values["comm.full_model_bytes"]).strip()
+
+def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
+    groups = _fields(values)
+    model = ModelSpec(**groups["model"])
+    top = groups[""]
+    mask_value = top["mask_layers"].strip()
+    if mask_value in ("all", ""):
+        top["mask_layers"] = ()
+    else:
+        top["mask_layers"] = tuple(s.strip() for s in mask_value.split(",") if s.strip())
+
+    link = groups["comm"]
+    full_bytes = link["full_model_bytes"].strip()
     if full_bytes == "auto":
-        b_f = default_comm(model).full_model_bytes
+        link["full_model_bytes"] = default_comm(model).full_model_bytes
     else:
         try:
-            b_f = float(full_bytes)
+            link["full_model_bytes"] = float(full_bytes)
         except ValueError as exc:
             raise ConfigError("comm.full_model_bytes: expected a number or 'auto'") from exc
-    values["comm.full_model_bytes"] = repr(b_f)  # echo the resolved size, not 'auto'
-    comm = CommModel(
-        bandwidth_mbps=float(values["comm.bandwidth_mbps"]),
-        full_model_bytes=b_f,
-        per_message_overhead_bytes=float(values["comm.overhead_bytes"]),
-    )
-
-    dp = DpConfig(
-        clip_norm=float(values["dp.clip_norm"]),
-        noise_multiplier=float(values["dp.noise_multiplier"]),
-        learning_rate=float(values["dp.learning_rate"]),
-        optimizer=str(values["dp.optimizer"]),
-        adam_beta1=float(values["dp.adam_beta1"]),
-        adam_beta2=float(values["dp.adam_beta2"]),
-        adam_eps=float(values["dp.adam_eps"]),
-    )
-    cfg = ExperimentConfig(
-        model=model,
-        clients=int(values["clients"]),
-        rounds=int(values["rounds"]),
-        local_epochs=int(values["local_epochs"]),
-        batch_size=int(values["batch_size"]),
-        dp=dp,
-        delta=float(values["privacy.delta"]),
-        target_epsilon=float(values["privacy.target_epsilon"]) or None,
-        participation_fraction=float(values["participation_fraction"]),
-        mask_layers=mask_layers,
-        aggregation=AggregationOp(str(values["aggregation"])),
-        partition=str(values["partition"]),
-        dirichlet_alpha=float(values["dirichlet_alpha"]),
-        sampler_mode=str(values["sampler"]),
-        seeds=Seeds(
-            global_seed=int(values["seeds.global"]),
-            data_seed=int(values["seeds.data"]),
-            noise_seed=int(values["seeds.noise"]),
-        ),
-        pretrain_epochs=int(values["pretrain.epochs"]),
-        pretrain_lr=float(values["pretrain.lr"]),
-        public_fraction=float(values["pretrain.public_fraction"]),
-        comm=comm,
-        masked_broadcast=bool(values["comm.masked_broadcast"]),
-        seconds_per_coord=float(values["comm.seconds_per_coord"]),
-        encoding=str(values["comm.encoding"]),
-    )
+    values["comm.full_model_bytes"] = repr(link["full_model_bytes"])  # echo the size, not 'auto'
+    comm = CommModel(**link)
+    dp = DpConfig(**groups["dp"])
+    top["target_epsilon"] = top["target_epsilon"] or None
+    top["aggregation"] = AggregationOp(top["aggregation"])
+    cfg = ExperimentConfig(model=model, dp=dp, seeds=Seeds(**groups["seeds"]), comm=comm, **top)
     cfg.validate()
     return cfg
 
@@ -319,18 +270,9 @@ def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
 
 
 def _load(values: dict[str, object]) -> tuple[SampleBatch, SampleBatch]:
-    if str(values["dataset.source"]) == "synthetic":
-        spec = SyntheticDatasetSpec(
-            generator=str(values["dataset.generator"]),
-            classes=int(values["dataset.classes"]),
-            samples=int(values["dataset.samples"]),
-            input_dim=int(values["dataset.input_dim"]),
-            noise_std=float(values["dataset.noise_std"]),
-            seed=int(values["dataset.seed"]),
-        )
-        full = make_dataset(spec)
+    dataset = _fields(values)["dataset"]
+    if values["dataset.source"] == "synthetic":
+        full = make_dataset(SyntheticDatasetSpec(**dataset))
     else:
-        full = load_delimited(str(values["dataset.path"]))
-    return split_train_test(
-        full, float(values["dataset.test_fraction"]), int(values["dataset.seed"])
-    )
+        full = load_delimited(values["dataset.path"])
+    return split_train_test(full, values["dataset.test_fraction"], dataset["seed"])

@@ -1,9 +1,13 @@
 """Config sweeps over (clients, rounds, epsilon) and the comparison report.
 
 Each sweep cell runs four variants: full vs selective tuning crossed with
-fedavg vs fednova aggregation, each from its own derived seed so no two
-cells share a random stream.  A cell that fails is recorded as an error row
-and the sweep continues.
+fedavg vs fednova aggregation.  Each variant of each cell overrides only
+seeds.global, with its own derived seed, which draws client selection,
+initialisation and pretraining.  Every cell keeps the base configuration's
+resolved seeds.data, seeds.noise and dataset.seed, so all cells train on the
+same dataset, public split and partition, with the same batch shuffles and
+DP noise.  A cell that fails is recorded as an error row and the sweep
+continues.
 """
 
 from __future__ import annotations
@@ -45,10 +49,11 @@ def _head_layers(resolved: ResolvedConfig) -> str:
 
 
 def _grid_values(resolved: ResolvedConfig, key: str, cast) -> list:
-    raw = str(resolved.values[key]).strip()
-    if not raw:
-        return []
-    return [cast(part.strip()) for part in raw.split(",") if part.strip()]
+    parts = resolved.values[key].split(",")
+    try:
+        return [cast(part.strip()) for part in parts if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def sweep_grid(resolved: ResolvedConfig) -> list[tuple[int, int, float]]:

@@ -515,8 +515,8 @@ print(faults(20) - faults(2))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
 def test_pretrain_epochs_fault_in_no_fresh_pages():
-    # Walking 480 x 64->256->4 in fresh arrays allocates about 4.6 MB an epoch
-    # that glibc returns to the kernel when freed: about 1 168 minor faults an
+    # Walking 480 x 64->256->4 in fresh arrays allocates about 2 MB an epoch
+    # that glibc returns to the kernel when freed: about 450 minor faults an
     # epoch.  One workspace for all epochs leaves epochs 3-20 almost none.
     src = str(Path(models.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")

@@ -1,0 +1,45 @@
+"""Sweep cells' seeds, and sweep grids that do not parse."""
+
+import pytest
+
+from dpfedsim import resolve_raw
+from dpfedsim.cli import EXIT_CONFIG, main
+from dpfedsim.comm import read_summary
+from dpfedsim.federation import Seeds
+from dpfedsim.sweep import run_sweep, with_overrides
+
+MINIMAL = {
+    "model.kind": "mlp",
+    "model.input_dim": "2",
+    "model.output_dim": "2",
+    "model.hidden_dim": "4",
+    "clients": "2",
+    "rounds": "1",
+    "dataset.samples": "40",
+}
+
+
+def test_sweep_cells_share_data_and_noise_seeds(tmp_path):
+    # a cell overrides only seeds.global: selection and init differ per cell,
+    # while the split, the shuffles and the DP noise stay the base run's
+    resolved = resolve_raw(MINIMAL)
+    for cell_seed in (111, 222):
+        cell = with_overrides(resolved, [f"seeds.global={cell_seed}"])
+        assert cell.experiment.seeds == Seeds(cell_seed, 1, 2)
+        assert cell.values["dataset.seed"] == 1
+    run_sweep(resolved, tmp_path / "sweep")
+    dumps = [read_summary(p) for p in sorted((tmp_path / "sweep").rglob("resolved_config.txt"))]
+    assert len(dumps) == 4
+    assert len({d["seeds.global"] for d in dumps}) == 4
+    assert {(d["seeds.data"], d["seeds.noise"], d["dataset.seed"]) for d in dumps} == {("1", "2", "1")}
+
+
+@pytest.mark.parametrize("key,value", [("sweep.clients", "2,two"), ("sweep.epsilon", "1.0,x")])
+def test_cli_sweep_rejects_a_bad_grid_value(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in MINIMAL.items()) + f"{key} = {value}\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and repr(value.split(",")[1]) in err
