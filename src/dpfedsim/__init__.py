@@ -14,6 +14,7 @@ from .dpsgd import (
     dp_step,
     epoch_batches,
     noisy_mean,
+    private_step,
 )
 from .errors import (
     ConfigError,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .masking import PartitionMask
-from .models import ParameterVector
-from .rng import STREAM_POISSON, STREAM_SHUFFLE, derive_seed, generator, standard_normal
+from .models import ModelSpec, ParameterVector, SampleBatch, per_sample_gradients
+from .rng import STREAM_POISSON, STREAM_SHUFFLE, derive_seed, generator, standard_normal, work_buffer
 
 OPTIMIZERS = ("sgd", "adam")
 SAMPLER_MODES = ("shuffle", "poisson")
@@ -90,8 +90,8 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
     are returned bitwise unchanged and the operation is exactly idempotent.
     A finite row whose squared norm overflows is still clipped, not zeroed.
     The input is never written to.  ``out``, a float64 array of the shape and
-    memory order of ``grads`` that shares no memory with it, holds the squares
-    and then the result, which is returned; the order fixes the norms' bits.
+    memory order of ``grads`` that shares no memory with it, receives the
+    result, which is returned; the order fixes the norms' bits.
     """
     if clip_norm <= 0:
         raise ShapeError("clip_norm must be > 0")
@@ -113,8 +113,16 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
     elif np.shares_memory(out, grads):
         raise ShapeError("out must not share memory with grads")
     with np.errstate(over="ignore"):  # overflowing rows are redone below
-        # np.linalg.norm(grads, axis=1) computed in ``out``, bit for bit
-        norms = np.sqrt(np.add.reduce(np.multiply(grads, grads, out=out), axis=1))
+        if grads.flags.f_contiguous and not grads.flags.c_contiguous:
+            # a column-major matrix of >= 2 rows: einsum, like add.reduce,
+            # sums each row's squares in column order, so the bits agree
+            # where einsum rounds each product before adding it (no fused
+            # multiply-add), as the x86-64 numpy 2.4 build measured does;
+            # the clip tests pin these bits against np.linalg.norm
+            norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+        else:
+            # np.linalg.norm(grads, axis=1) computed in ``out``, bit for bit
+            norms = np.sqrt(np.add.reduce(np.multiply(grads, grads, out=out), axis=1))
     # a finite norm means a finite row, so entries are scanned only when a
     # norm is not: a NaN/inf entry or an overflowing square
     unsafe = np.flatnonzero(~np.isfinite(norms))
@@ -123,7 +131,15 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
         raise NumericError(f"non-finite gradient in sample {int(unsafe[np.argmin(finite_rows)])}")
     limit = clip_norm * (1.0 + _CLIP_SLACK)
     scale = np.where(norms > limit, clip_norm / np.maximum(norms, 1e-300), 1.0)
-    np.multiply(grads, scale[:, None], out=out)
+    scaled = np.flatnonzero(norms > limit)
+    # few rows to scale: copy, as x * 1.0 == x, then scale those rows; the
+    # cut-off sits at the measured crossover (README, Clipping)
+    if scaled.size <= grads.shape[0] // 16:
+        np.copyto(out, grads)
+        for i in scaled:
+            np.multiply(grads[i], scale[i], out=out[i])
+    else:
+        np.multiply(grads, scale[:, None], out=out)
     for i in unsafe:  # ||g|| = m * ||g / m|| with m = max |g|, free of overflow
         m = np.abs(grads[i]).max()
         unit = grads[i] / m
@@ -133,20 +149,56 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
 
 
 def noisy_mean(
-    clipped: np.ndarray, noise_multiplier: float, clip_norm: float, noise_seed: int
+    clipped: np.ndarray, noise_multiplier: float, clip_norm: float, noise_seed: int, work=None
 ) -> np.ndarray:
     """Average the clipped rows and add seeded N(0, (sigma*C)^2 I) noise.
 
+    The mean divides by the rows actually given, so a Poisson batch is
+    averaged over the samples it drew, not over the expected batch size.
     With noise_multiplier == 0 this is the exact clipped mean; with noise the
-    draw is a pure function of noise_seed, so reruns are bit-identical.
+    draw is a pure function of noise_seed, so reruns are bit-identical.  The
+    mean and the draw live in the workspace ``work`` (fresh by default); a
+    reused workspace gives the bytes of a fresh one, and its result is
+    overwritten by the next call given it.
     """
     clipped = np.asarray(clipped, dtype=np.float64)
     if clipped.ndim != 2 or clipped.shape[0] == 0:
         raise ShapeError("expected a non-empty [batch x dim] matrix")
-    mean = clipped.mean(axis=0)
+    work = {} if work is None else work
+    mean = clipped.mean(axis=0, out=work_buffer(work, "mean", clipped.shape[1:]))
     if noise_multiplier == 0.0:
         return mean
-    return mean + noise_multiplier * clip_norm * standard_normal(noise_seed, clipped.shape[1])
+    noise = standard_normal(noise_seed, clipped.shape[1], work=work)
+    return np.add(mean, np.multiply(noise, noise_multiplier * clip_norm, out=noise), out=mean)
+
+
+def private_step(
+    spec: ModelSpec,
+    params: ParameterVector,
+    batch: SampleBatch,
+    mask: PartitionMask,
+    dp: DpConfig,
+    noise_seed: int,
+    work: dict,
+) -> np.ndarray:
+    """One step's noisy clipped mean gradient over the trainable coordinates.
+
+    Per-sample gradients of the mask's layers, clipped row by row, then
+    averaged with seeded noise.  Every intermediate lives in the caller's
+    workspace ``work``: the gradient and clipped matrices in two buffers
+    grown only when a (poisson) batch needs more, the mean and the noise in
+    buffers of the trainable width.  The result is one of those buffers,
+    overwritten by the next step given the same workspace.
+    """
+    need = batch.size * mask.trainable_count
+    if work.get("grads", np.empty(0)).size < need:
+        work["grads"], work["clipped"] = np.empty(need), np.empty(need)
+    grads = per_sample_gradients(spec, params, batch, mask.selected_layers, out=work["grads"])
+    # the clipped matrix takes the gradients' column-major layout
+    clipped = clip_per_sample(
+        grads, dp.clip_norm, out=work["clipped"][:need].reshape(grads.shape, order="F")
+    )
+    return noisy_mean(clipped, dp.noise_multiplier, dp.clip_norm, noise_seed, work=work)
 
 
 def epoch_batches(plan: SamplerPlan) -> list[np.ndarray]:
@@ -169,7 +221,8 @@ def epoch_batches(plan: SamplerPlan) -> list[np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, owned by one client's training loop."""
+    """First/second moment buffers, owned by one client's training loop and
+    updated in place by dp_step."""
 
     m: np.ndarray
     v: np.ndarray
@@ -186,13 +239,17 @@ def dp_step(
     cfg: DpConfig,
     step_index: int,
     state: AdamState | None = None,
+    in_place: bool = False,
 ) -> ParameterVector:
     """Apply one update to the trainable coordinates only.
 
     Frozen coordinates of the returned vector are bit-identical to the
     input.  ``grad`` is the (noisy, clipped) gradient over the masked
     subspace, length mask.trainable_count.  Adam uses bias-corrected moments
-    held in ``state``; step_index starts at 1.
+    held in ``state``, checked for finiteness at every step; step_index
+    starts at 1.  By default the result is a new vector, whose values are
+    checked for finiteness; with ``in_place`` the same bits are written into
+    ``params``, unchecked, and it is returned.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (mask.trainable_count,):
@@ -206,18 +263,18 @@ def dp_step(
             raise ShapeError("adam requires a moment state owned by the caller")
         if step_index < 1:
             raise ShapeError("adam step_index starts at 1")
-        state.m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * grad
-        state.v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * grad * grad
-        m_hat = state.m / (1.0 - cfg.adam_beta1**step_index)
-        v_hat = state.v / (1.0 - cfg.adam_beta2**step_index)
-        update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        if not all(np.isfinite(x).all() for x in (state.m, state.v, update)):
+        m, v = state.m, state.v  # updated in place
+        np.add(np.multiply(m, cfg.adam_beta1, out=m), (1.0 - cfg.adam_beta1) * grad, out=m)
+        np.add(np.multiply(v, cfg.adam_beta2, out=v), (1.0 - cfg.adam_beta2) * grad * grad, out=v)
+        update = m / (1.0 - cfg.adam_beta1**step_index)
+        update /= np.sqrt(v / (1.0 - cfg.adam_beta2**step_index)) + cfg.adam_eps
+        if not all(np.isfinite(x).all() for x in (m, v, update)):
             raise NumericError(f"adam moments or update not finite at step {step_index}")
     else:
         update = grad
-    values = params.values.copy()
+    values = params.values if in_place else params.values.copy()
     values[mask.indices] -= cfg.learning_rate * update
-    return ParameterVector(values, params.layout)
+    return params if in_place else ParameterVector(values, params.layout)
 
 
 def plan_for_epoch(plan: SamplerPlan, round_index: int, epoch: int) -> SamplerPlan:

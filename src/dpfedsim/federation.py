@@ -26,11 +26,10 @@ from .dpsgd import (
     AdamState,
     DpConfig,
     SamplerPlan,
-    clip_per_sample,
     dp_step,
     epoch_batches,
-    noisy_mean,
     plan_for_epoch,
+    private_step,
 )
 from .errors import ConfigError, NumericError, ShapeError
 from .masking import ENCODINGS, MaskedUpdate, PartitionMask, extract_masked_update, make_mask
@@ -42,7 +41,6 @@ from .models import (
     init_params,
     layer_layout,
     parameter_count,
-    per_sample_gradients,
     pretrain,
 )
 from .rng import (
@@ -239,37 +237,30 @@ def run_local(
 ) -> MaskedUpdate:
     """One client's private local training for one round.
 
-    Per batch: per-sample gradients of the trainable layers only, clipped,
-    averaged with seeded Gaussian noise, then applied.  The gradient and
-    clipped matrices live in two buffers reused by every step, grown when a
-    (poisson) batch needs more.  The broadcast parameters are never modified;
-    tau counts optimizer steps.
+    Per batch: one private_step (per-sample gradients of the trainable
+    layers only, clipped, averaged with seeded Gaussian noise), applied by
+    dp_step in place to one working copy of the parameters.  The step's
+    buffers live in one workspace held for this call only.  The broadcast
+    parameters are never modified; tau counts optimizer steps.  Adam's
+    moments are checked at every step, the parameters once, when the update
+    is cut: a non-finite delta raises NumericError.
     """
     if local_epochs < 1:
         raise ShapeError("local_epochs must be >= 1")
     w = w_t.copy()
     state = AdamState.zeros(mask.trainable_count) if dp.optimizer == "adam" else None
     step = 0
-    grad_buf = clip_buf = np.empty(0)
+    work: dict = {}
     for epoch in range(1, local_epochs + 1):
         for batch_no, batch_idx in enumerate(epoch_batches(plan_for_epoch(plan, round_index, epoch))):
             if batch_idx.size == 0:
                 continue  # poisson sampling may draw an empty batch
-            batch = client.data.take(batch_idx)
-            need = batch.size * mask.trainable_count
-            if grad_buf.size < need:
-                grad_buf, clip_buf = np.empty(need), np.empty(need)
-            grads = per_sample_gradients(spec, w, batch, mask.selected_layers, out=grad_buf)
-            # the clipped matrix takes the gradients' column-major layout
-            clipped = clip_per_sample(
-                grads, dp.clip_norm, out=clip_buf[:need].reshape(grads.shape, order="F")
-            )
             noise_seed = derive_seed(
                 client.rng_seed, STREAM_NOISE, round_index, epoch, batch_no
             )
-            grad = noisy_mean(clipped, dp.noise_multiplier, dp.clip_norm, noise_seed)
+            grad = private_step(spec, w, client.data.take(batch_idx), mask, dp, noise_seed, work)
             step += 1
-            w = dp_step(w, mask, grad, dp, step, state)
+            dp_step(w, mask, grad, dp, step, state, in_place=True)
     return extract_masked_update(
         w, w_t, mask, client.client_id, round_index, tau=step, n_k=client.n_k
     )

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .rng import STREAM_INIT, derive_seed, generator
+from .rng import STREAM_INIT, derive_seed, generator, work_buffer
 
 KINDS = ("linear", "logistic", "mlp")
 # activation name -> (function of the pre-activation, derivative given the activation),
@@ -249,25 +249,13 @@ _HEADS = {
 }
 
 
-def _buffer(work: dict, key, shape: tuple[int, int]) -> np.ndarray:
-    """The float64 buffer ``work[key]``, remade only when its shape changes.
-
-    A workspace is a caller-owned dict of buffers keyed by (role, layer index);
-    reusing one across calls at one batch shape allocates each buffer once.
-    """
-    buf = work.get(key)
-    if buf is None or buf.shape != shape:
-        buf = work[key] = np.empty(shape)
-    return buf
-
-
 def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict) -> list:
     """Forward pass; per layer, bottom first: (layer, W, input a, output z), z in
     the workspace ``work``.  A hidden layer's activation overwrites its z in place."""
     steps, a = [], x
     for i, layer in enumerate(_stack(spec)):
         w = params.layer(layer.weight).reshape(layer.fan_out, layer.fan_in)
-        z = _buffer(work, ("z", i), (x.shape[0], layer.fan_out))
+        z = work_buffer(work, ("z", i), (x.shape[0], layer.fan_out))
         np.add(np.matmul(a, w.T, out=z), params.layer(layer.bias), out=z)
         steps.append((layer, w, a, z))
         a = ACTIVATIONS[layer.activation][0](z, z) if layer.activation else z
@@ -293,7 +281,7 @@ def _backprop(
         yield layer, a, dz
         if i > lowest:
             ACTIVATIONS[steps[i - 1][0].activation][1](a, a)
-            dz = np.matmul(dz, w, out=_buffer(work, ("delta", i - 1), a.shape))
+            dz = np.matmul(dz, w, out=work_buffer(work, ("delta", i - 1), a.shape))
             dz *= a
 
 
@@ -362,8 +350,9 @@ def mean_gradient(
 
     The same walk as per_sample_gradients, reduced over the batch by
     contraction instead of forming rows; the tests cross-check the two.
-    ``work`` is a workspace (see _buffer) the caller may keep between calls;
-    the returned gradient never shares memory with it.
+    ``work`` is a workspace (see rng.work_buffer) keyed by (role, layer
+    index) that the caller may keep between calls; the returned gradient
+    never shares memory with it.
     """
     _check_inputs(spec, params, batch)
     n = batch.size

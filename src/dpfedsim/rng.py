@@ -49,16 +49,35 @@ def generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal(key: int, n: int) -> np.ndarray:
+def work_buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 buffer ``work[key]``, remade only when its shape changes.
+
+    A workspace is a caller-owned dict of buffers; reusing one across calls at
+    one shape allocates each buffer once.
+    """
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def standard_normal(key: int, n: int, work: dict | None = None) -> np.ndarray:
     """Draw ``n`` iid standard normals from stream ``key`` via Box-Muller.
 
-    Uses u1 mapped to (0, 1] so the log never sees zero.
+    Uses u1 mapped to (0, 1] so the log never sees zero.  The uniforms and
+    the result live in the workspace ``work`` (fresh by default); a reused
+    workspace gives the bytes of a fresh one, and its result is overwritten
+    by the next draw into it.
     """
     if n == 0:
         return np.zeros(0)
+    work = {} if work is None else work
     pairs = (n + 1) // 2
-    u = generator(key).random((2, pairs))
-    r = np.sqrt(-2.0 * np.log1p(-u[0]))
-    theta = 2.0 * np.pi * u[1]
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-    return z[:n]
+    r, theta = generator(key).random(out=work_buffer(work, "uniforms", (2, pairs)))
+    # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in place
+    np.sqrt(np.multiply(np.log1p(np.negative(r, out=r), out=r), -2.0, out=r), out=r)
+    np.multiply(theta, 2.0 * np.pi, out=theta)
+    z = work_buffer(work, "normals", (2, pairs))
+    np.multiply(np.cos(theta, out=z[0]), r, out=z[0])
+    np.multiply(np.sin(theta, out=z[1]), r, out=z[1])
+    return z.reshape(-1)[:n]

@@ -62,6 +62,9 @@ def sweep_grid(resolved: ResolvedConfig) -> list[tuple[int, int, float]]:
     rounds = _grid_values(resolved, "sweep.rounds", int) or [resolved.experiment.rounds]
     base_eps = resolved.experiment.target_epsilon or 0.0
     epsilons = _grid_values(resolved, "sweep.epsilon", float) or [base_eps]
+    for eps in epsilons:
+        if not eps >= 0.0:  # 0 means no target; NaN fails here too
+            raise ConfigError(f"sweep.epsilon: {eps!r} is not a budget (0 means no target)")
     return [(k, t, e) for k in clients for t in rounds for e in epsilons]
 
 

@@ -361,6 +361,36 @@ def test_adam_overflow_fails_loudly(tmp_path, capsys):
     assert code == EXIT_RUNTIME
 
 
+@pytest.mark.parametrize(
+    "extra,diverged_in",
+    [
+        # one step overflows the parameters themselves to inf
+        (["dp.learning_rate = 1e308", "dp.noise_multiplier = 1000"], 0),
+        # unclipped relu training at a huge step size blows up over rounds
+        (
+            [
+                "model.activation = relu",
+                "dp.learning_rate = 1e8",
+                "dp.clip_norm = 1e300",
+                "dp.noise_multiplier = 0",
+            ],
+            2,
+        ),
+    ],
+    ids=["overflowing-step", "growing-over-rounds"],
+)
+def test_sgd_divergence_fails_loudly(tmp_path, capsys, extra, diverged_in):
+    cfg = write_cfg(tmp_path, ["dp.optimizer = sgd", *extra], base=dict(MINIMAL, rounds="6"))
+    resolved = parse_config(cfg)
+    train, test = load_dataset(resolved)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_experiment(resolved.experiment, train, test)
+        code = run_cli(["federated", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.error is not None and result.error.startswith(f"round {diverged_in}: ")
+    assert len(result.records) == diverged_in < resolved.experiment.rounds
+    assert code == EXIT_RUNTIME
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -16,8 +16,10 @@ from dpfedsim import (
     layer_layout,
     make_mask,
     noisy_mean,
+    standard_normal,
 )
 from dpfedsim.errors import NumericError
+from dpfedsim.rng import derive_seed, generator
 
 RNG = np.random.default_rng
 
@@ -200,6 +202,80 @@ def test_clip_rejects_a_buffer_sharing_memory_with_its_input():
     assert got.tobytes(order="A") == clip_per_sample(before, 1.0).tobytes(order="A")
 
 
+def _reference_clip(rows, clip):
+    with np.errstate(over="ignore"):  # an overflowing row is redone by the caller
+        norm = np.linalg.norm(rows, axis=1)
+    scale = np.where(norm > clip * (1 + 1e-12), clip / np.maximum(norm, 1e-300), 1.0)
+    return rows * scale[:, None], int(np.count_nonzero(scale != 1.0))
+
+
+def _rows_with_scaled(n, width, scaled, seed):
+    """n rows, exactly ``scaled`` of them outside the unit ball, with exact
+    +0.0 and -0.0 entries sprinkled in (column 0 keeps every row non-zero)."""
+    rng = RNG(seed)
+    rows = rng.normal(size=(n, width))
+    zeros = rng.random((n, width)) < 0.1
+    zeros[:, 0] = False
+    rows[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = rng.uniform(0.1, 0.9, size=n)
+    norms[rng.choice(n, scaled, replace=False)] = rng.uniform(1.5, 40.0, size=scaled)
+    rows *= norms[:, None]
+    return rows
+
+
+def _check_clip_pins(batch, clip, expected):
+    before = batch.copy(order="K")
+    for out in (None, np.full_like(batch, np.nan)):
+        got = clip_per_sample(batch, clip, out=out)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, batch)
+        assert batch.tobytes(order="A") == before.tobytes(order="A")
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 1028, 17668])
+def test_clip_bytes_are_pinned_across_shapes_and_scaled_row_counts(width):
+    # both sides of a rule that treats batches with few rows to scale apart
+    # from the rest: 0, 1, n // 16, n // 16 + 1, n // 2 and n rows outside
+    clip = 1.0
+    for n in (1, 2, 7, 16, 17, 64, 70):
+        for scaled in sorted({0, 1, n // 16, n // 16 + 1, n // 2, n} & set(range(n + 1))):
+            rows = _rows_with_scaled(n, width, scaled, seed=1000 * n + scaled)
+            for order in ("C", "F"):
+                batch = np.array(rows, order=order)
+                expected, count = _reference_clip(batch, clip)
+                assert count == scaled
+                _check_clip_pins(batch, clip, expected)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_clip_bytes_are_pinned_around_an_overflowing_row(order):
+    clip = 1.0
+    for n, width in ((2, 2), (17, 7), (64, 1028)):
+        rows = _rows_with_scaled(n, width, 1, seed=n)
+        rows[n // 2, :2] = [1e200, -1e200]
+        batch = np.array(rows, order=order)
+        expected, _ = _reference_clip(batch, clip)
+        row = batch[n // 2]
+        unit = row / np.abs(row).max()
+        expected[n // 2] = unit * (clip / np.linalg.norm(unit))
+        _check_clip_pins(batch, clip, expected)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_clip_names_a_nan_sample_at_every_shape(order):
+    for n, width in ((1, 1), (2, 7), (17, 1028), (64, 17668)):
+        rows = _rows_with_scaled(n, width, n // 4, seed=n)
+        bad = n - 1 - n // 3
+        rows[bad, width // 2] = np.nan
+        batch = np.array(rows, order=order)
+        before = batch.copy(order="K")
+        for out in (None, np.empty_like(batch)):
+            with pytest.raises(NumericError, match=f"sample {bad}$"):
+                clip_per_sample(batch, 1.0, out=out)
+        assert batch.tobytes(order="A") == before.tobytes(order="A")
+
+
 # ---------------------------------------------------------------- noisy mean
 
 
@@ -235,6 +311,45 @@ def test_noisy_mean_moments_monte_carlo():
 def test_noisy_mean_rejects_empty_batch():
     with pytest.raises(ShapeError):
         noisy_mean(np.zeros((0, 3)), 1.0, 1.0, noise_seed=0)
+
+
+def _box_muller(key, n):
+    """The Box-Muller draw in plain fresh-array form, as the stream defines it."""
+    pairs = (n + 1) // 2
+    u = generator(key).random((2, pairs))
+    r = np.sqrt(-2.0 * np.log1p(-u[0]))
+    theta = 2.0 * np.pi * u[1]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+def test_a_reused_noise_workspace_keeps_the_bytes_of_fresh_draws():
+    # one workspace through sizes that grow and shrink again
+    work = {}
+    sizes = (1, 2, 7, 8, 1028, 17668, 8, 1028, 1, 17668, 7, 2)
+    for key in range(50):
+        for n in sizes:
+            stream = derive_seed(key, n)
+            expected = _box_muller(stream, n)
+            assert standard_normal(stream, n).tobytes() == expected.tobytes()
+            got = standard_normal(stream, n, work=work)
+            assert got.tobytes() == expected.tobytes()
+    assert standard_normal(3, 0, work=work).size == 0
+
+
+def test_a_reused_mean_workspace_keeps_the_bytes_of_fresh_means():
+    rng = RNG(11)
+    work = {}
+    for key in range(50):
+        for n in (1, 2, 7, 8, 1028, 17668):
+            rows = np.asfortranarray(rng.normal(size=(1 + key % 5, n)))
+            sigma = 0.0 if key % 7 == 0 else 0.8
+            expected = rows.mean(axis=0)
+            if sigma:
+                expected = expected + sigma * 1.5 * _box_muller(key, n)
+            assert noisy_mean(rows, sigma, 1.5, key).tobytes() == expected.tobytes()
+            got = noisy_mean(rows, sigma, 1.5, key, work=work)
+            assert got.tobytes() == expected.tobytes()
+            assert not np.shares_memory(got, rows)
 
 
 # ---------------------------------------------------------------- epoch plans
@@ -373,3 +488,43 @@ def test_frozen_coordinates_never_move():
     for t in range(1, 30):
         w = dp_step(w, mask, rng.normal(size=mask.trainable_count), cfg, t, state)
     assert np.array_equal(w.values[frozen], params.values[frozen])
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_dp_step_in_place_keeps_the_bytes_of_the_pure_form(optimizer):
+    spec, params = _mlp_params(seed=4)
+    mask = make_mask(params.layout, ["hidden.bias", "head.weight"])
+    frozen = ~mask.coordinate_mask
+    cfg = _cfg(optimizer=optimizer, learning_rate=0.05)
+
+    def fresh():
+        return AdamState.zeros(mask.trainable_count)
+
+    pure_state, own_state = fresh(), fresh()
+    pure = params
+    own = params.copy()
+    start = params.values.tobytes()
+    rng = RNG(5)
+    for t in range(1, 31):
+        grad = rng.normal(size=mask.trainable_count)
+        pure = dp_step(pure, mask, grad, cfg, t, pure_state)
+        before = own.values
+        assert dp_step(own, mask, grad, cfg, t, own_state, in_place=True) is own
+        assert own.values is before
+        assert own.values.tobytes() == pure.values.tobytes()
+    assert params.values.tobytes() == start
+    assert np.array_equal(own.values[frozen], params.values[frozen])
+    assert not np.array_equal(own.values, params.values)
+
+
+def test_dp_step_checks_new_vectors_and_leaves_in_place_ones_to_the_caller():
+    spec, params = _mlp_params()
+    mask = make_mask(params.layout, ["head.bias"])
+    huge = np.full(mask.trainable_count, -1e308)
+    cfg = _cfg(learning_rate=1e10)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="non-finite parameter"):
+            dp_step(params, mask, huge, cfg, 1)
+        w = params.copy()
+        dp_step(w, mask, huge, cfg, 1, in_place=True)
+    assert np.isinf(w.values[mask.indices]).all()

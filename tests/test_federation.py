@@ -22,13 +22,15 @@ from dpfedsim import (
     evaluate,
     init_params,
     make_mask,
+    noisy_mean,
     parse_config,
     partition_data,
     per_sample_gradients,
     run_experiment,
     run_local,
+    standard_normal,
 )
-from dpfedsim import federation
+from dpfedsim import dpsgd, federation, models
 from dpfedsim.comm import render_rounds_table
 from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
@@ -191,7 +193,7 @@ def _record_clip_calls(monkeypatch):
         calls.append((grads, out))
         return clip_per_sample(grads, clip_norm, out=out)
 
-    monkeypatch.setattr(federation, "clip_per_sample", recording)
+    monkeypatch.setattr(dpsgd, "clip_per_sample", recording)
     return calls
 
 
@@ -226,6 +228,57 @@ def test_run_local_grows_its_buffers_only_for_a_larger_batch(monkeypatch):
         same = np.shares_memory(calls[i][0], calls[i - 1][0])
         assert same == (i not in grown)
         assert np.shares_memory(calls[i][1], calls[i - 1][1]) == same
+
+
+def test_run_local_builds_no_parameter_vector_per_step(monkeypatch):
+    built = []
+    check = models.ParameterVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(models.ParameterVector, "__post_init__", counting)
+    data = blob_data(30, seed=7)
+    (shard,) = partition_data(data, 1, "iid", seed=0)
+    w = init_params(MLP, 5)
+    mask = make_mask(w.layout, [name for name, _, _ in w.layout])
+    plan = SamplerPlan("shuffle", 8, shard.n_k, shard.rng_seed)
+    for epochs, optimizer in ((1, "sgd"), (3, "sgd"), (3, "adam")):
+        built.clear()
+        dp = DpConfig(1.0, 0.5, 0.1, optimizer=optimizer)
+        update = run_local(MLP, shard, w, mask, dp, plan, epochs, 0)
+        assert update.tau == 4 * epochs
+        assert len(built) == 1  # the working copy of the broadcast parameters
+
+
+def test_run_local_reuses_its_noise_and_mean_buffers(monkeypatch):
+    draws, means = [], []
+
+    def drawing(key, n, work=None):
+        draws.append(standard_normal(key, n, work=work))
+        return draws[-1]
+
+    def averaging(*args, **kwargs):
+        means.append(noisy_mean(*args, **kwargs))
+        return means[-1]
+
+    monkeypatch.setattr(dpsgd, "standard_normal", drawing)
+    monkeypatch.setattr(dpsgd, "noisy_mean", averaging)
+    data = blob_data(60, seed=8)
+    (shard,) = partition_data(data, 1, "iid", seed=0)
+    w = init_params(MLP, 6)
+    mask = make_mask(w.layout, ["hidden.bias", "head.weight"])
+    plan = SamplerPlan("poisson", 8, shard.n_k, shard.rng_seed)
+    update = run_local(MLP, shard, w, mask, DpConfig(1.0, 0.5, 0.1), plan, 3, 0)
+    assert update.tau == len(draws) == len(means) > 1
+    for draw, mean in zip(draws, means):
+        assert draw.shape == mean.shape == (mask.trainable_count,)
+        assert np.shares_memory(draw, draws[0]) and np.shares_memory(mean, means[0])
+        assert not np.shares_memory(draw, mean)
+    # the next client starts a workspace of its own
+    run_local(MLP, shard, w, mask, DpConfig(1.0, 0.5, 0.1), plan, 1, 1)
+    assert not np.shares_memory(draws[-1], draws[0])
 
 
 # ---------------------------------------------------------------- evaluate

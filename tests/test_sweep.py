@@ -43,3 +43,25 @@ def test_cli_sweep_rejects_a_bad_grid_value(tmp_path, capsys, key, value):
     assert not out.exists()
     err = capsys.readouterr().err
     assert key in err and repr(value.split(",")[1]) in err
+
+
+def test_cli_sweep_rejects_a_negative_epsilon(tmp_path, capsys):
+    # only 0 means "no target"; a negative budget used to run every cell on
+    # the base noise multiplier and report the negative value in sweep.csv
+    cfg = tmp_path / "exp.cfg"
+    lines = [f"{k} = {v}\n" for k, v in MINIMAL.items()] + ["sweep.epsilon = 1.0,-1\n"]
+    cfg.write_text("".join(lines))
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "sweep.epsilon" in err and "-1.0" in err
+
+
+def test_sweep_epsilon_zero_still_means_no_target(tmp_path):
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.epsilon": "0"}))
+    (row,) = run_sweep(resolved, tmp_path / "sweep")
+    assert row.epsilon == 0.0 and row.status == "ok"
+    dumps = [read_summary(p) for p in sorted((tmp_path / "sweep").rglob("resolved_config.txt"))]
+    assert len(dumps) == 4
+    assert all(float(d["privacy.target_epsilon"]) == 0.0 for d in dumps)
