@@ -33,7 +33,7 @@ class PrivacyParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.sampling_ratio <= 1.0):
             raise DomainError(f"sampling_ratio must be in (0, 1], got {self.sampling_ratio}")
-        if self.noise_multiplier < 0:
+        if not self.noise_multiplier >= 0:  # NaN fails too
             raise DomainError("noise_multiplier must be >= 0")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
@@ -69,7 +69,7 @@ def sigma_for_target(
     Exact closed-form inversion; epsilon_of round-trips the result to within
     floating-point error.
     """
-    if target_epsilon <= 0:
+    if not target_epsilon > 0:  # NaN fails too
         raise DomainError("target_epsilon must be > 0")
     probe = PrivacyParams(sampling_ratio, 1.0, epochs, delta)
     if epochs == 0:

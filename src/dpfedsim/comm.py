@@ -32,11 +32,11 @@ class CommModel:
     per_message_overhead_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
+        if not self.bandwidth_mbps > 0:  # every bound here fails NaN too
             raise ShapeError("bandwidth must be > 0")
-        if self.full_model_bytes <= 0:
+        if not self.full_model_bytes > 0:
             raise ShapeError("full_model_bytes must be > 0")
-        if self.per_message_overhead_bytes < 0:
+        if not self.per_message_overhead_bytes >= 0:
             raise ShapeError("overhead must be >= 0")
 
 

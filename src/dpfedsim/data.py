@@ -32,7 +32,7 @@ class SyntheticDatasetSpec:
             raise ShapeError("need at least one sample per class")
         if self.input_dim < 1:
             raise ShapeError("input_dim must be >= 1")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # NaN fails too
             raise ShapeError("noise_std must be >= 0")
         if self.generator == "two-spirals" and (self.classes != 2 or self.input_dim != 2):
             raise ShapeError("two-spirals is a 2-class, 2-dimensional generator")
@@ -90,9 +90,9 @@ def split_train_test(
     return data.take(order[n_test:]), data.take(order[:n_test])
 
 
-def load_delimited(path: str | Path, delimiter: str = ",") -> SampleBatch:
-    """Numeric table of finite values with the class label in the last column."""
-    table = np.loadtxt(path, delimiter=delimiter, ndmin=2)
+def load_delimited(path: str | Path) -> SampleBatch:
+    """Comma-separated table of finite values with the class label in the last column."""
+    table = np.loadtxt(path, delimiter=",", ndmin=2)
     if table.shape[1] < 2:
         raise ShapeError("need at least one feature column plus the label column")
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))

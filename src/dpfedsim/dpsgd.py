@@ -39,17 +39,17 @@ class DpConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:  # every bound here fails NaN too
             raise ShapeError("clip_norm must be > 0")
-        if self.noise_multiplier < 0:
+        if not self.noise_multiplier >= 0:
             raise ShapeError("noise_multiplier must be >= 0")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ShapeError("learning_rate must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ShapeError(f"unknown optimizer {self.optimizer!r}")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise ShapeError("adam decay rates must lie in (0, 1)")
-        if self.adam_eps <= 0:
+        if not self.adam_eps > 0:
             raise ShapeError("adam_eps must be > 0")
 
 

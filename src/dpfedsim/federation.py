@@ -40,6 +40,7 @@ from .models import (
     forward,
     init_params,
     layer_layout,
+    layer_spans,
     parameter_count,
     pretrain,
 )
@@ -112,7 +113,7 @@ class ExperimentConfig:
             raise ConfigError("participation_fraction must lie in (0, 1]")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
-        if self.target_epsilon is not None and self.target_epsilon <= 0:
+        if self.target_epsilon is not None and not self.target_epsilon > 0:
             raise ConfigError("target_epsilon must be > 0 when set")
         if self.partition not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {self.partition!r}")
@@ -120,25 +121,27 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler_mode!r}, expected {SAMPLER_MODES}")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"unknown encoding {self.encoding!r}, expected {ENCODINGS}")
-        if self.partition == "dirichlet" and self.dirichlet_alpha <= 0:
+        if self.partition == "dirichlet" and not self.dirichlet_alpha > 0:
             raise ConfigError("dirichlet_alpha must be > 0")
         if not (0.0 <= self.public_fraction < 1.0):
             raise ConfigError("public_fraction must lie in [0, 1)")
         if self.pretrain_epochs > 0 and self.public_fraction == 0.0:
             raise ConfigError("pretraining needs a positive public_fraction")
+        if self.pretrain_epochs > 0 and not self.pretrain_lr > 0:
+            raise ConfigError("pretrain_lr must be > 0")
         if not self.model.is_classifier:
             raise ConfigError("federated experiments require a classification model")
-        if self.seconds_per_coord < 0:
+        if not self.seconds_per_coord >= 0:
             raise ConfigError("seconds_per_coord must be >= 0")
-        layout_names = [name for name, _, _ in layer_layout(self.model)]
-        for name in self.mask_layers:
-            if name not in layout_names:
-                raise ConfigError(f"mask_layers: {name!r} not in model layers {layout_names}")
+        self.resolved_mask_layers()  # raises on an unknown layer name
 
     def resolved_mask_layers(self) -> tuple[str, ...]:
-        if self.mask_layers:
-            return self.mask_layers
-        return tuple(name for name, _, _ in layer_layout(self.model))
+        """The layers to tune: mask_layers, or every layer when it is empty."""
+        try:
+            spans = layer_spans(layer_layout(self.model), self.mask_layers or None)
+        except ShapeError as exc:
+            raise ConfigError(f"mask_layers: {exc}") from exc
+        return self.mask_layers or tuple(spans)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteUpdateError, ProtocolError, ShapeError
-from .models import Layout, ParameterVector
+from .models import Layout, ParameterVector, layer_spans
 
 ENCODINGS = ("dense-f32", "sparse-idx32-f32")
 
@@ -59,16 +59,9 @@ class PartitionMask:
 
 def make_mask(layout: Layout, selected_layers: list[str] | tuple[str, ...]) -> PartitionMask:
     """Mask covering exactly the named layers' coordinate ranges."""
-    known = {name: (offset, length) for name, offset, length in layout}
-    total = sum(length for _, _, length in layout)
-    mask = np.zeros(total, dtype=bool)
-    for name in selected_layers:
-        if name not in known:
-            raise ShapeError(
-                f"unknown layer {name!r}; valid layers are {sorted(known)}"
-            )
-        offset, length = known[name]
-        mask[offset : offset + length] = True
+    mask = np.zeros(sum(length for _, _, length in layout), dtype=bool)
+    for span in layer_spans(layout, selected_layers).values():
+        mask[span] = True
     return PartitionMask(tuple(selected_layers), mask)
 
 

@@ -21,14 +21,13 @@ layer that owns one of the named parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 from .rng import STREAM_INIT, derive_seed, generator, work_buffer
 
-KINDS = ("linear", "logistic", "mlp")
 # activation name -> (function of the pre-activation, derivative given the activation),
 # each written into ``out``, which may be the input; relu's a > 0 equals pre > 0
 ACTIVATIONS = {
@@ -57,27 +56,22 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ShapeError(f"unknown model kind {self.kind!r}, expected one of {KINDS}")
+            raise ShapeError(f"unknown model kind {self.kind!r}, expected one of {tuple(KINDS)}")
+        row = KINDS[self.kind]
         if self.input_dim < 1 or self.output_dim < 1:
             raise ShapeError("input_dim and output_dim must be positive")
-        if self.kind == "mlp":
-            if self.hidden_dim < 1:
-                raise ShapeError("mlp requires hidden_dim >= 1")
-            if self.activation not in ACTIVATIONS:
-                raise ShapeError(
-                    f"unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}"
-                )
-        else:
-            if self.hidden_dim != 0:
-                raise ShapeError(f"{self.kind} model must have hidden_dim == 0")
-        if self.kind == "logistic" and self.output_dim != 2:
-            raise ShapeError("logistic model is binary: output_dim must be 2")
-        if self.kind == "linear" and self.output_dim != 1:
-            raise ShapeError("linear regression targets are scalar: output_dim must be 1")
+        if row.output_dim is not None and self.output_dim != row.output_dim:
+            raise ShapeError(f"{self.kind} model needs output_dim == {row.output_dim}")
+        if not row.hidden and self.hidden_dim != 0:
+            raise ShapeError(f"{self.kind} model must have hidden_dim == 0")
+        if row.hidden and self.hidden_dim < 1:
+            raise ShapeError(f"{self.kind} model needs hidden_dim >= 1")
+        if row.hidden and self.activation not in ACTIVATIONS:
+            raise ShapeError(f"unknown activation {self.activation!r}, not in {tuple(ACTIVATIONS)}")
 
     @property
     def is_classifier(self) -> bool:
-        return self.kind in ("logistic", "mlp")
+        return KINDS[self.kind].head is not _squared_error
 
 
 class _Affine(NamedTuple):
@@ -92,13 +86,12 @@ class _Affine(NamedTuple):
 
 def _stack(spec: ModelSpec) -> tuple[_Affine, ...]:
     """The model's layers, bottom first; the last one feeds the loss head."""
-    width = _HEADS[spec.kind][1] or spec.output_dim
-    if spec.hidden_dim == 0:
-        return (_Affine("head.weight", "head.bias", spec.input_dim, width),)
-    return (
-        _Affine("hidden.weight", "hidden.bias", spec.input_dim, spec.hidden_dim, spec.activation),
-        _Affine("head.weight", "head.bias", spec.hidden_dim, width),
-    )
+    row = KINDS[spec.kind]
+    head_in = spec.hidden_dim if row.hidden else spec.input_dim
+    head = _Affine("head.weight", "head.bias", head_in, row.head_width or spec.output_dim)
+    if not row.hidden:
+        return (head,)
+    return _Affine("hidden.weight", "hidden.bias", spec.input_dim, head_in, spec.activation), head
 
 
 def layer_layout(spec: ModelSpec) -> Layout:
@@ -114,6 +107,19 @@ def layer_layout(spec: ModelSpec) -> Layout:
 
 def parameter_count(spec: ModelSpec) -> int:
     return sum(layer.fan_out * (layer.fan_in + 1) for layer in _stack(spec))
+
+
+def layer_spans(layout: Layout, names=None) -> dict[str, slice]:
+    """Coordinate range of each layer in ``names`` (default: all), in layout
+    order.  This is the one lookup of layer names: an unknown name is a
+    ShapeError that lists the layout's names."""
+    spans = {name: slice(offset, offset + length) for name, offset, length in layout}
+    if names is None:
+        return spans
+    for name in names:
+        if name not in spans:
+            raise ShapeError(f"unknown layer {name!r}; layout has {list(spans)}")
+    return {name: span for name, span in spans.items() if name in names}
 
 
 @dataclass
@@ -151,11 +157,7 @@ class ParameterVector:
 
     def layer(self, name: str) -> np.ndarray:
         """View of one named layer's coordinates."""
-        for lname, offset, length in self.layout:
-            if lname == name:
-                return self.values[offset : offset + length]
-        known = [lname for lname, _, _ in self.layout]
-        raise ShapeError(f"unknown layer {name!r}; layout has {known}")
+        return self.values[layer_spans(self.layout, (name,))[name]]
 
 
 @dataclass
@@ -209,7 +211,7 @@ def _check_inputs(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) 
 
 
 # Loss heads map the stack's outputs z and the targets to per-sample losses,
-# predictions and the output delta dloss/dz.  They are the only per-kind code.
+# predictions and the output delta dloss/dz; each KINDS row names its head.
 def _squared_error(z: np.ndarray, targets: np.ndarray):
     resid = z - targets.astype(np.float64)[:, None]
     return 0.5 * np.sum(resid * resid, axis=1), z, resid
@@ -241,22 +243,30 @@ def _softmax_cross_entropy(z: np.ndarray, targets: np.ndarray):
     return lse - z[rows, y], np.exp(z - lse[:, None]), delta
 
 
-# kind -> (loss head, width of the head layer; None means output_dim)
-_HEADS = {
-    "linear": (_squared_error, None),
-    "logistic": (_binary_logit, 1),
-    "mlp": (_softmax_cross_entropy, None),
+class _Kind(NamedTuple):
+    """Everything that sets a model kind apart; a new kind is a new row."""
+
+    head: Callable  # loss head; every head but _squared_error takes class indices
+    head_width: int | None  # width of the head layer; None means output_dim
+    output_dim: int | None  # the one output_dim the kind allows; None means any
+    hidden: bool  # a hidden layer sits below the head
+
+
+KINDS = {
+    "linear": _Kind(_squared_error, None, 1, False),
+    "logistic": _Kind(_binary_logit, 1, 2, False),
+    "mlp": _Kind(_softmax_cross_entropy, None, None, True),
 }
 
 
 def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict) -> list:
     """Forward pass; per layer, bottom first: (layer, W, input a, output z), z in
     the workspace ``work``.  A hidden layer's activation overwrites its z in place."""
-    steps, a = [], x
+    steps, a, spans = [], x, layer_spans(params.layout)
     for i, layer in enumerate(_stack(spec)):
-        w = params.layer(layer.weight).reshape(layer.fan_out, layer.fan_in)
+        w = params.values[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in)
         z = work_buffer(work, ("z", i), (x.shape[0], layer.fan_out))
-        np.add(np.matmul(a, w.T, out=z), params.layer(layer.bias), out=z)
+        np.add(np.matmul(a, w.T, out=z), params.values[spans[layer.bias]], out=z)
         steps.append((layer, w, a, z))
         a = ACTIVATIONS[layer.activation][0](z, z) if layer.activation else z
     return steps
@@ -272,9 +282,9 @@ def _backprop(
     overwrites a yielded activation with its derivative, the next walk the rest."""
     work = {} if work is None else work
     steps = _walk(spec, params, batch.inputs, work)
-    owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & names]
+    owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & set(names)]
     lowest = owners[0] if owners else len(steps)
-    dz = _HEADS[spec.kind][0](steps[-1][3], batch.targets)[2]
+    dz = KINDS[spec.kind].head(steps[-1][3], batch.targets)[2]
     dz /= divisor
     for i in range(len(steps) - 1, lowest - 1, -1):
         layer, w, a, _ = steps[i]
@@ -292,7 +302,7 @@ def forward(
     (shape [batch x output_dim]), raw outputs for regression."""
     _check_inputs(spec, params, batch)
     z = _walk(spec, params, batch.inputs, {})[-1][3]  # fresh: the linear head returns z itself
-    return _HEADS[spec.kind][0](z, batch.targets)[:2]
+    return KINDS[spec.kind].head(z, batch.targets)[:2]
 
 
 def per_sample_gradients(
@@ -309,16 +319,10 @@ def per_sample_gradients(
     ``width * n`` values; the result is then a view of it.
     """
     _check_inputs(spec, params, batch)
-    layout = layer_layout(spec)
-    names = {name for name, _, _ in layout} if layers is None else set(layers)
-    spans, width = {}, 0
-    for name, _, length in layout:
-        if name in names:
-            spans[name] = slice(width, width + length)
-            width += length
-    if len(spans) < len(names):
-        known = [name for name, _, _ in layout]
-        raise ShapeError(f"unknown layers {sorted(names - set(spans))}; layout has {known}")
+    spans, width = layer_spans(params.layout, layers), 0
+    for name, span in spans.items():  # pack the named columns
+        spans[name] = slice(width, width + span.stop - span.start)
+        width = spans[name].stop
     n = batch.size
     if out is None:
         out = np.empty(width * n)
@@ -332,7 +336,7 @@ def per_sample_gradients(
     ):
         raise ShapeError(f"out must be a writable 1-D contiguous float64 buffer of >= {width * n}")
     cols = out[: width * n].reshape(width, n)  # the transposed result, one row per parameter
-    for layer, a, dz in _backprop(spec, params, batch, names):
+    for layer, a, dz in _backprop(spec, params, batch, spans):
         if layer.weight in spans:
             block = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
             # transposed operands keep einsum's inner loop on contiguous memory;
@@ -361,9 +365,9 @@ def mean_gradient(
     # stack with a hidden layer divides the head's delta before backprop, a
     # single layer divides after contracting.
     before, after = (n, 1) if spec.hidden_dim else (1, n)
-    spans = {name: slice(offset, offset + length) for name, offset, length in layer_layout(spec)}
-    grad = np.empty(parameter_count(spec))
-    for layer, a, dz in _backprop(spec, params, batch, set(spans), before, work):
+    spans = layer_spans(params.layout)
+    grad = np.empty(params.dim)
+    for layer, a, dz in _backprop(spec, params, batch, spans, before, work):
         bias = grad[spans[layer.bias]]
         np.divide(np.sum(dz, axis=0, out=bias), after, out=bias)
         weight = grad[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in)
@@ -416,7 +420,7 @@ def pretrain(
     """
     if epochs < 0:
         raise ShapeError("epochs must be >= 0")
-    if lr <= 0:
+    if not lr > 0:
         raise ShapeError("lr must be > 0")
     params = init_params(spec, seed)
     work: dict = {}  # one workspace for every epoch, dropped on return

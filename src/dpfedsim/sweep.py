@@ -19,7 +19,7 @@ from .comm import read_summary, write_records
 from .config import RESOLVED_FILE, ResolvedConfig, load_dataset, rendered_raw, resolve_raw
 from .errors import ConfigError, DpFedSimError
 from .federation import run_experiment
-from .models import layer_layout
+from .models import layer_layout, layer_spans
 from .rng import STREAM_SWEEP, derive_seed
 
 SWEEP_FILE = "sweep.csv"
@@ -43,9 +43,8 @@ class SweepRow:
 
 
 def _head_layers(resolved: ResolvedConfig) -> str:
-    names = [name for name, _, _ in layer_layout(resolved.experiment.model)]
-    heads = [name for name in names if name.startswith("head.")]
-    return ",".join(heads)
+    names = layer_spans(layer_layout(resolved.experiment.model))
+    return ",".join(name for name in names if name.startswith("head."))
 
 
 def _grid_values(resolved: ResolvedConfig, key: str, cast) -> list:

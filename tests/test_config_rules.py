@@ -44,12 +44,29 @@ REJECTED = {
     "mask_layers": {"mask_layers": "head.wieght"},
     "clients-over-rows": TOO_MANY_CLIENTS,
     "clients-over-rows-with-target": {**TOO_MANY_CLIENTS, **TARGET},
+    # NaN fails every bound, "x > 0" and "x >= 0" alike
+    "comm.bandwidth_mbps=nan": {"comm.bandwidth_mbps": "nan"},
+    "comm.overhead_bytes=nan": {"comm.overhead_bytes": "nan"},
+    "comm.seconds_per_coord=nan": {"comm.seconds_per_coord": "nan"},
+    "comm.full_model_bytes=nan": {"comm.full_model_bytes": "nan"},
+    "dp.clip_norm=nan": {"dp.clip_norm": "nan"},
+    "dp.noise_multiplier=nan": {"dp.noise_multiplier": "nan"},
+    "dp.learning_rate=nan": {"dp.learning_rate": "nan"},
+    "dp.adam_eps=nan": {"dp.optimizer": "adam", "dp.adam_eps": "nan"},
+    "privacy.target_epsilon=nan": {"privacy.target_epsilon": "nan"},
+    "dataset.noise_std=nan": {"dataset.noise_std": "nan"},
+    "dirichlet_alpha=nan": {"partition": "dirichlet", "dirichlet_alpha": "nan"},
+    "pretrain.lr=nan": {
+        "pretrain.epochs": "2",
+        "pretrain.public_fraction": "0.25",
+        "pretrain.lr": "nan",
+    },
 }
 
 # rejected while the raw values are mapped, not first when data is loaded or run
 AT_RESOLVE = sorted(
     set(REJECTED)
-    - {"dataset.generator", "dataset.test_fraction", "clients-over-rows"}
+    - {"dataset.generator", "dataset.noise_std=nan", "dataset.test_fraction", "clients-over-rows"}
 )
 
 
@@ -80,6 +97,14 @@ def test_cli_rejects_without_a_run_directory(case, tmp_path, capsys):
 def test_resolve_raises_config_error(case, tmp_path):
     with pytest.raises(ConfigError):
         resolve_raw(dict(BASE, **_values(case, tmp_path)))
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--target-epsilon"])
+def test_accountant_rejects_a_nan_budget(flag, capsys):
+    assert main(["accountant", "--q", "0.1", flag, "nan", "--epochs", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "epsilon=" not in captured.out
 
 
 def test_accountant_has_no_clip_norm_flag(capsys):
