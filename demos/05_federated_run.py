@@ -24,12 +24,12 @@ raw = {
     "dataset.noise_std": "0.4",
 }
 resolved = resolve_raw(raw)
-print(f"noise multiplier solved for epsilon=1.33: {resolved.experiment.dp.noise_multiplier:.4f}")
-
 train, test = load_dataset(resolved)
-print(f"train={train.size} test={test.size} clients={resolved.experiment.clients}\n")
+print(f"train={train.size} test={test.size} clients={resolved.experiment.clients}")
 
+# the run solves sigma from its own client shards
 result = run_experiment(resolved.experiment, train, test)
+print(f"noise multiplier solved for epsilon=1.33: {result.noise_multiplier:.4f}\n")
 print(render_rounds_table(result.records))
 
 summary = summarize(result.records)

@@ -101,6 +101,7 @@ def _cmd_experiment(args: argparse.Namespace, centralized: bool) -> int:
     # created only now, so a run rejected at start leaves no directory behind
     run_dir = _run_dir(_output_root(args.out), resolved)
     run_dir.mkdir(parents=True)
+    resolved.values["dp.noise_multiplier"] = result.noise_multiplier  # the dump echoes it
     (run_dir / RESOLVED_FILE).write_text(resolved.dump())
     summary = write_records(result.records, run_dir)
     save_params(result.final_params, run_dir / "model.npz")

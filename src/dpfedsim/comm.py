@@ -70,7 +70,7 @@ def traffic_per_round(
 
 def delay_seconds(nbytes: float, comm: CommModel) -> float:
     """Transfer time under the linear bandwidth model."""
-    if nbytes < 0:
+    if not nbytes >= 0:  # NaN fails too
         raise ShapeError("byte count must be >= 0")
     return nbytes / (comm.bandwidth_mbps * MB)
 

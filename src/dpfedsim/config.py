@@ -6,15 +6,15 @@ overrides alike.  parse_config resolves a file plus overrides into a
 fully-populated value table and an ExperimentConfig.  This module only maps
 keys onto the dataclasses, which check their own rules; it checks the
 dataset source itself, and whatever it rejects is raised as a ConfigError.
-When privacy.target_epsilon is set, the noise multiplier is solved from the
-client shards the run will train on and echoed in the resolved dump, and
-load_dataset reuses that split.  The dump format is versioned and
-round-trips to an identical configuration.
+Resolution loads no data: load_dataset builds the (train, test) split, and a
+run with privacy.target_epsilon solves its noise multiplier from its own
+client shards.  The dump format is versioned and round-trips to an
+identical configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import AggregationOp
@@ -22,14 +22,7 @@ from .comm import CommModel, render_value
 from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
 from .dpsgd import DpConfig
 from .errors import ConfigError, DomainError, ShapeError
-from .federation import (
-    DEFAULT_BANDWIDTH_MBPS,
-    ExperimentConfig,
-    Seeds,
-    client_shards,
-    default_comm,
-    sigma_for_shards,
-)
+from .federation import DEFAULT_BANDWIDTH_MBPS, ExperimentConfig, Seeds, default_comm
 from .models import ModelSpec, SampleBatch
 
 DUMP_VERSION = "# dpfedsim resolved config v1"
@@ -96,12 +89,10 @@ SCHEMA: dict[str, tuple[str, object, str | None]] = {
 
 @dataclass
 class ResolvedConfig:
-    """Fully-defaulted value table, the experiment it encodes, and the (train,
-    test) split that solving a target_epsilon loaded (None without a target)."""
+    """Fully-defaulted value table and the experiment it encodes."""
 
     values: dict[str, object]
     experiment: ExperimentConfig
-    data: tuple[SampleBatch, SampleBatch] | None = field(default=None, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -197,15 +188,9 @@ def resolve_raw(
     _check_dataset_source(values)
     try:
         experiment = _build_experiment(values)
-        data = None
-        if experiment.target_epsilon is not None:
-            data = _load(values)
-            _, shards = client_shards(experiment, data[0])
-            values["dp.noise_multiplier"] = sigma_for_shards(experiment, shards)
-            experiment = _build_experiment(values)
     except (ShapeError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    return ResolvedConfig(values=values, experiment=experiment, data=data)
+    return ResolvedConfig(values=values, experiment=experiment)
 
 
 def rendered_raw(resolved: ResolvedConfig) -> dict[str, str]:
@@ -263,13 +248,8 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
 
 
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
-    """(train, test) splits of a configuration; a target solve's split is reused."""
-    if resolved.data is not None:
-        return resolved.data
-    return _load(resolved.values)
-
-
-def _load(values: dict[str, object]) -> tuple[SampleBatch, SampleBatch]:
+    """(train, test) splits of a configuration."""
+    values = resolved.values
     dataset = _fields(values)["dataset"]
     if values["dataset.source"] == "synthetic":
         full = make_dataset(SyntheticDatasetSpec(**dataset))

@@ -39,12 +39,12 @@ class DpConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.clip_norm > 0:  # every bound here fails NaN too
-            raise ShapeError("clip_norm must be > 0")
-        if not self.noise_multiplier >= 0:
-            raise ShapeError("noise_multiplier must be >= 0")
-        if not self.learning_rate > 0:
-            raise ShapeError("learning_rate must be > 0")
+        if not 0 < self.clip_norm < np.inf:  # every bound here fails NaN too
+            raise ShapeError("clip_norm must be > 0 and finite")
+        if not 0 <= self.noise_multiplier < np.inf:
+            raise ShapeError("noise_multiplier must be >= 0 and finite")
+        if not 0 < self.learning_rate < np.inf:
+            raise ShapeError("learning_rate must be > 0 and finite")
         if self.optimizer not in OPTIMIZERS:
             raise ShapeError(f"unknown optimizer {self.optimizer!r}")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
@@ -93,7 +93,7 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
     memory order of ``grads`` that shares no memory with it, receives the
     result, which is returned; the order fixes the norms' bits.
     """
-    if clip_norm <= 0:
+    if not clip_norm > 0:  # NaN fails too
         raise ShapeError("clip_norm must be > 0")
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:

@@ -13,7 +13,7 @@ given configuration and independent of client scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -113,8 +113,8 @@ class ExperimentConfig:
             raise ConfigError("participation_fraction must lie in (0, 1]")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
-        if self.target_epsilon is not None and not self.target_epsilon > 0:
-            raise ConfigError("target_epsilon must be > 0 when set")
+        if self.target_epsilon is not None and not 0 < self.target_epsilon < math.inf:
+            raise ConfigError("target_epsilon must be > 0 and finite when set")
         if self.partition not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {self.partition!r}")
         if self.sampler_mode not in SAMPLER_MODES:
@@ -154,6 +154,7 @@ class EvalResult:
 class ExperimentResult:
     records: list[RoundRecord]
     final_params: ParameterVector
+    noise_multiplier: float  # the sigma the run trained at, solved when it has a target
     error: str | None = None
 
 
@@ -358,11 +359,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute the full protocol and return per-round records plus the model.
 
-    On numeric divergence the run stops and returns the partial record list
-    with the error message attached.
+    A run with a target_epsilon trains at the noise multiplier solved from
+    its own client shards.  On numeric divergence the run stops and returns
+    the partial record list with the error message attached.
     """
     cfg.validate()
     public, shards = client_shards(cfg, train_data)
+    if cfg.target_epsilon is not None:
+        cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma_for_shards(cfg, shards)))
     w = initial_params(cfg, public)
     mask = make_mask(layer_layout(cfg.model), cfg.resolved_mask_layers())
     d = parameter_count(cfg.model)
@@ -415,4 +419,4 @@ def run_experiment(
                 participants=len(selected),
             )
         )
-    return ExperimentResult(records=records, final_params=w, error=error)
+    return ExperimentResult(records, w, cfg.dp.noise_multiplier, error)

@@ -6,8 +6,8 @@ seeds.global, with its own derived seed, which draws client selection,
 initialisation and pretraining.  Every cell keeps the base configuration's
 resolved seeds.data, seeds.noise and dataset.seed, so all cells train on the
 same dataset, public split and partition, with the same batch shuffles and
-DP noise.  A cell that fails is recorded as an error row and the sweep
-continues.
+DP noise; the dataset is loaded once per sweep.  A cell that fails is
+recorded as an error row and the sweep continues.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
     grid = sweep_grid(resolved)
     if not grid:
         raise ConfigError("sweep grid is empty")
+    train, test = load_dataset(resolved)  # no cell overrides a dataset key
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     head = _head_layers(resolved)
@@ -95,10 +96,10 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
                 overrides.append(f"privacy.target_epsilon={epsilon}")
             try:
                 cell = with_overrides(resolved, overrides)
-                train, test = load_dataset(cell)
                 result = run_experiment(cell.experiment, train, test)
                 run_dir = out / "cells" / str(cell.name)
                 write_records(result.records, run_dir)
+                cell.values["dp.noise_multiplier"] = result.noise_multiplier
                 (run_dir / RESOLVED_FILE).write_text(cell.dump())
                 if result.error:
                     status = f"error: {result.error}"

@@ -8,6 +8,7 @@ from dpfedsim import (
     MaskedUpdate,
     ModelSpec,
     RoundRecord,
+    ShapeError,
     delay_seconds,
     layer_layout,
     make_mask,
@@ -148,6 +149,13 @@ def test_speedup_identity_no_overhead():
 
 def test_zero_bytes_zero_delay():
     assert delay_seconds(0.0, CommModel(1.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("nbytes", [-1.0, float("nan")])
+def test_delay_rejects_a_bad_byte_count(nbytes):
+    # a NaN byte count used to come back as a NaN delay
+    with pytest.raises(ShapeError, match="byte count"):
+        delay_seconds(nbytes, CommModel(1.0, 1.0))
 
 
 def test_totals_linear_in_rounds():

@@ -1,9 +1,11 @@
 """Config parsing/resolution, sweeps, the report, and CLI exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dpfedsim import ConfigError, parse_config, resolve_raw, run_experiment, sigma_for_target
+from dpfedsim import ConfigError, ShapeError, parse_config, resolve_raw, run_experiment, sigma_for_target
 from dpfedsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.config import load_dataset, rendered_raw
 from dpfedsim.rng import STREAM_SWEEP, derive_seed
@@ -80,9 +82,10 @@ def test_target_epsilon_resolves_sigma(tmp_path):
     resolved = parse_config(
         write_cfg(tmp_path, extra=["privacy.target_epsilon = 0.65", "local_epochs = 2", "batch_size = 8"])
     )
+    result = run_experiment(resolved.experiment, *load_dataset(resolved))
     # 600 samples, 150 test, no public split, 2 clients -> shard 225, q = 8/225
     expected = sigma_for_target(8 / 225, 3 * 2, 1e-4, 0.65)
-    assert resolved.experiment.dp.noise_multiplier == pytest.approx(expected, rel=1e-15)
+    assert result.noise_multiplier == pytest.approx(expected, rel=1e-15)
     assert resolved.experiment.target_epsilon == 0.65
 
 
@@ -133,35 +136,34 @@ def test_non_finite_data_file_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "row 4 holds a non-finite value" in capsys.readouterr().err
     assert not out.exists()
-    with pytest.raises(ConfigError, match="row 4"):
-        parse_config(nan_cell_cfg(tmp_path, ["privacy.target_epsilon = 1.0"]))
+    with pytest.raises(ShapeError, match="row 4"):
+        load_dataset(parse_config(nan_cell_cfg(tmp_path, ["privacy.target_epsilon = 1.0"])))
 
 
 def test_target_epsilon_materializes_the_data_once(tmp_path, monkeypatch):
-    from dpfedsim import config
+    from dpfedsim import config, federation
 
-    path = write_cfg(tmp_path, extra=["privacy.target_epsilon = 0.65", "local_epochs = 2"])
-    fresh = parse_config(path)
-    want_train, want_test = config._load(fresh.values)
-    want = run_experiment(fresh.experiment, want_train, want_test).records
     calls = []
-    counted = config.make_dataset
 
-    def counting(spec):
-        calls.append(spec)
-        return counted(spec)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(config, "make_dataset", counting)
-    resolved = parse_config(path)
-    train, test = load_dataset(resolved)
-    assert len(calls) == 1
-    assert resolved == fresh and "data=" not in repr(resolved)
-    assert resolved.experiment.dp.noise_multiplier == fresh.experiment.dp.noise_multiplier
-    assert np.array_equal(train.inputs, want_train.inputs)
-    assert np.array_equal(test.targets, want_test.targets)
-    assert run_experiment(resolved.experiment, train, test).records == want
-    without = parse_config(write_cfg(tmp_path))
-    assert without.data is None and len(calls) == 1
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(config, "make_dataset")
+    spy(federation, "partition_data")
+    parse_config(write_cfg(tmp_path))
+    resolved = parse_config(write_cfg(tmp_path, extra=["privacy.target_epsilon = 0.65", "local_epochs = 2"]))
+    assert calls == []  # resolution loads no data, with or without a target
+    result = run_experiment(resolved.experiment, *load_dataset(resolved))
+    assert calls == ["make_dataset", "partition_data"]
+    assert math.isclose(result.records[-1].epsilon_to_date, 0.65, rel_tol=1e-12)
+    assert not hasattr(resolved, "data")
+    assert not hasattr(config, "client_shards") and not hasattr(config, "sigma_for_shards")
 
 
 # ---------------------------------------------------------------- sweep

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from dpfedsim import ConfigError, DpFedSimError, parse_config, resolve_raw, run_experiment
-from dpfedsim.cli import EXIT_CONFIG, main
-from dpfedsim.config import load_dataset
+from dpfedsim.cli import EXIT_CONFIG, EXIT_OK, main
+from dpfedsim.config import RESOLVED_FILE, load_dataset
 
 BASE = {
     "model.kind": "mlp",
@@ -55,6 +55,11 @@ REJECTED = {
     "dp.adam_eps=nan": {"dp.optimizer": "adam", "dp.adam_eps": "nan"},
     "privacy.target_epsilon=nan": {"privacy.target_epsilon": "nan"},
     "dataset.noise_std=nan": {"dataset.noise_std": "nan"},
+    # and so does inf: these bounds read "0 < x < inf"
+    "dp.clip_norm=inf": {"dp.clip_norm": "inf"},
+    "dp.noise_multiplier=inf": {"dp.noise_multiplier": "inf"},
+    "dp.learning_rate=inf": {"dp.learning_rate": "inf"},
+    "privacy.target_epsilon=inf": {"privacy.target_epsilon": "inf"},
     "dirichlet_alpha=nan": {"partition": "dirichlet", "dirichlet_alpha": "nan"},
     "pretrain.lr=nan": {
         "pretrain.epochs": "2",
@@ -67,6 +72,7 @@ REJECTED = {
 AT_RESOLVE = sorted(
     set(REJECTED)
     - {"dataset.generator", "dataset.noise_std=nan", "dataset.test_fraction", "clients-over-rows"}
+    - {"rounds-with-target", "clients-over-rows-with-target"}  # at the run's sigma solve
 )
 
 
@@ -145,12 +151,19 @@ def test_target_epsilon_is_the_budget_spent(partition, sampler, participation):
         assert math.isclose(spent, 1.0, rel_tol=1e-12)
 
 
-def test_dirichlet_target_dump_round_trips(tmp_path):
-    resolved = resolve_raw(dict(BUDGET, partition="dirichlet"))
-    dump = tmp_path / "resolved.cfg"
-    dump.write_text(resolved.dump())
+def test_dirichlet_target_dump_round_trips(tmp_path, capsys):
+    raw = dict(BUDGET, partition="dirichlet")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    out = tmp_path / "out"
+    assert main(["federated", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    dump = next(out.iterdir()) / RESOLVED_FILE
     again = parse_config(dump)
-    sigma = resolved.experiment.dp.noise_multiplier
-    assert again.experiment.dp.noise_multiplier == sigma
-    assert again.values["dp.noise_multiplier"] == sigma
-    assert again.experiment == resolved.experiment
+    assert again.dump() == dump.read_text()
+    resolved = resolve_raw(raw)
+    train, test = load_dataset(resolved)
+    sigma = run_experiment(resolved.experiment, train, test).noise_multiplier
+    assert sigma != resolved.experiment.dp.noise_multiplier  # the dump echoes the solved value
+    assert again.values["dp.noise_multiplier"] == again.experiment.dp.noise_multiplier == sigma
+    assert run_experiment(again.experiment, train, test).noise_multiplier == sigma

@@ -78,6 +78,13 @@ def test_clip_scale_covariance_generic_factor():
         assert np.max(np.abs(clip_per_sample(c * rows, 1.0) - base)) <= 1e-14
 
 
+@pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+def test_clip_rejects_a_bad_clip_norm(clip):
+    # a NaN clip_norm used to return the row unclipped
+    with pytest.raises(ShapeError, match="clip_norm"):
+        clip_per_sample(np.array([[12.0, 16.0]]), clip)
+
+
 def test_clip_rejects_nonfinite_row():
     rows = np.ones((3, 2))
     rows[1, 0] = np.inf

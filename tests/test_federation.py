@@ -439,6 +439,17 @@ def test_epsilon_monotone_and_closed_form():
         assert r.epsilon_to_date == pytest.approx(compose_rounds(per_round, t).epsilon, rel=1e-12)
 
 
+def test_a_target_is_the_budget_spent_on_the_library_path():
+    # the run solves sigma from its own shards; the 0.1 given is overridden
+    train, test = split_train_test(blob_data(400, seed=1), 0.25, 1)
+    cfg = base_config(local_epochs=1, dp=DpConfig(1.0, 0.1, 0.1), target_epsilon=1.0, seeds=Seeds())
+    result = run_experiment(cfg, train, test)
+    assert result.error is None
+    assert math.isclose(result.records[-1].epsilon_to_date, 1.0, rel_tol=1e-12)
+    assert result.noise_multiplier != 0.1
+    assert run_experiment(base_config(), train, test).noise_multiplier == 0.5
+
+
 def test_sigma_zero_reports_infinite_epsilon():
     data = blob_data(40, seed=13)
     train, test = split_train_test(data, 0.25, 0)
@@ -533,7 +544,7 @@ def test_divergence_aborts_with_partial_records():
     cfg = base_config(
         model=spec,
         rounds=6,
-        dp=DpConfig(clip_norm=float("inf"), noise_multiplier=0.0, learning_rate=1e8),
+        dp=DpConfig(clip_norm=1e300, noise_multiplier=0.0, learning_rate=1e8),
     )
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_experiment(cfg, train, train)

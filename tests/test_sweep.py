@@ -1,8 +1,8 @@
-"""Sweep cells' seeds, and sweep grids that do not parse."""
+"""Sweep cells' seeds and data, and sweeps rejected before they start."""
 
 import pytest
 
-from dpfedsim import resolve_raw
+from dpfedsim import config, resolve_raw, sigma_for_target
 from dpfedsim.cli import EXIT_CONFIG, main
 from dpfedsim.comm import read_summary
 from dpfedsim.federation import Seeds
@@ -65,3 +65,32 @@ def test_sweep_epsilon_zero_still_means_no_target(tmp_path):
     dumps = [read_summary(p) for p in sorted((tmp_path / "sweep").rglob("resolved_config.txt"))]
     assert len(dumps) == 4
     assert all(float(d["privacy.target_epsilon"]) == 0.0 for d in dumps)
+
+
+def test_sweep_loads_its_data_once(tmp_path, monkeypatch):
+    calls = []
+    real = config.make_dataset
+    monkeypatch.setattr(config, "make_dataset", lambda spec: calls.append(spec) or real(spec))
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,3", "sweep.epsilon": "0.65"}))
+    rows = run_sweep(resolved, tmp_path / "sweep")
+    assert [row.status for row in rows] == ["ok", "ok"]
+    assert len(calls) == 1
+    # every cell's dump echoes the sigma its run solved: 30 training rows,
+    # shards of 15 and 10 under a batch of 32, so q = 1 over one epoch
+    dumps = [read_summary(p) for p in sorted((tmp_path / "sweep").rglob("resolved_config.txt"))]
+    assert len(dumps) == 8
+    assert {float(d["dp.noise_multiplier"]) for d in dumps} == {sigma_for_target(1.0, 1, 1e-4, 0.65)}
+
+
+def test_cli_sweep_with_unloadable_data_leaves_no_directory(tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    rows = ["%f,%f,%d" % (i * 0.1, -i * 0.2, i % 2) for i in range(40)]
+    rows[3] = "nan,0.5,1"
+    csv.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "exp.cfg"
+    lines = [f"{k} = {v}\n" for k, v in MINIMAL.items()]
+    cfg.write_text("".join(lines) + f"dataset.source = file\ndataset.path = {csv}\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "row 4" in capsys.readouterr().err
