@@ -71,5 +71,5 @@ def aggregate(
         delta = u.deltas / u.tau if op.kind == "fednova" else u.deltas
         combined += weights[u.client_id] * delta
     values = w_t.values.copy()
-    values[first.indices] += combined
+    values[first.selector] += combined
     return ParameterVector(values, w_t.layout)

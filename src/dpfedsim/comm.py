@@ -8,6 +8,7 @@ and summary formats written here are fixed and documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,12 +33,12 @@ class CommModel:
     per_message_overhead_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.bandwidth_mbps > 0:  # every bound here fails NaN too
-            raise ShapeError("bandwidth must be > 0")
-        if not self.full_model_bytes > 0:
-            raise ShapeError("full_model_bytes must be > 0")
-        if not self.per_message_overhead_bytes >= 0:
-            raise ShapeError("overhead must be >= 0")
+        if not 0 < self.bandwidth_mbps < math.inf:  # every bound here fails NaN too
+            raise ShapeError("bandwidth must be > 0 and finite")
+        if not 0 < self.full_model_bytes < math.inf:
+            raise ShapeError("full_model_bytes must be > 0 and finite")
+        if not 0 <= self.per_message_overhead_bytes < math.inf:
+            raise ShapeError("overhead must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ once to the already-averaged clipped sum.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from .errors import NumericError, ShapeError
 from .masking import PartitionMask
 from .models import ModelSpec, ParameterVector, SampleBatch, per_sample_gradients
 from .rng import STREAM_POISSON, STREAM_SHUFFLE, derive_seed, generator, standard_normal, work_buffer
+from .rng import box_muller
 
 OPTIMIZERS = ("sgd", "adam")
 SAMPLER_MODES = ("shuffle", "poisson")
@@ -24,6 +27,101 @@ SAMPLER_MODES = ("shuffle", "poisson")
 # untouched, which keeps clipping exactly idempotent despite the rounding in
 # the recomputed norm of an already-clipped row.
 _CLIP_SLACK = 1e-12
+
+# The helper lane: one daemon thread, started on first use, that runs the
+# parts of a wide private step whose bits cannot depend on where they run
+# (README, Helper lane).  With one CPU everything runs inline; work narrower
+# than _LANE_MIN_WIDTH columns always does, as the hand-off costs more there.
+try:
+    _LANES = min(2, len(os.sched_getaffinity(0)))
+except AttributeError:  # no sched_getaffinity on this platform
+    _LANES = min(2, os.cpu_count() or 1)
+_LANE_MIN_WIDTH = 4096
+_lane_jobs = None  # the lane's queue.SimpleQueue once it has started
+_lane_start = threading.Lock()
+
+
+class _Job:
+    """fn(*args) handed to the lane.  ``result`` returns its value or re-raises
+    its error, once; if the lane has not started the job by then, the caller
+    runs it itself rather than wait for a thread that may have no CPU.  The
+    job lets go of its arguments once it has run and of its outcome once
+    handed over, so the lane keeps no buffer alive."""
+
+    def __init__(self, fn, args: tuple) -> None:
+        self.call, self.outcome = (fn, args), None
+        self.claim, self.done = threading.Lock(), threading.Event()
+
+    def run(self) -> None:
+        if not self.claim.acquire(blocking=False):
+            return  # already taken, by the lane or by its caller
+        fn, args = self.call
+        self.call = None
+        try:
+            self.outcome = (fn(*args), None)
+        except BaseException as exc:
+            self.outcome = (None, exc)
+        del fn, args
+        self.done.set()
+
+    def result(self):
+        self.run()
+        self.done.wait()
+        (value, error), self.outcome = self.outcome, None
+        if error is not None:
+            raise error
+        return value
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _on_lane(fn, *args) -> _Job:
+    """Queue fn(*args) on the helper lane, starting the lane on first use."""
+    global _lane_jobs
+    with _lane_start:
+        if _lane_jobs is None:
+            from queue import SimpleQueue  # imported here: a narrow run never needs it
+
+            _lane_jobs = SimpleQueue()
+            lane = threading.Thread(target=_serve, args=(_lane_jobs,), daemon=True)
+            lane.name = "dpfedsim-lane"
+            lane.start()
+        jobs = _lane_jobs
+    job = _Job(fn, args)
+    jobs.put(job)
+    return job
+
+
+def _forget_lane() -> None:
+    # a forked child inherits the lane's queue but not its thread
+    global _lane_jobs, _lane_start
+    _lane_jobs, _lane_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _uses_lane(width: int) -> bool:
+    """Whether work this many columns wide is shared with the lane."""
+    return width >= _LANE_MIN_WIDTH and _LANES > 1
+
+
+def _by_columns(task, width: int) -> None:
+    """Run ``task(cols)`` over every column: wide work as two halves, the
+    first on the lane.  Only for elementwise work or per-column reductions,
+    where each half gives the bytes of the whole."""
+    if not _uses_lane(width):
+        task(slice(0, width))
+        return
+    job = _on_lane(task, slice(0, width // 2))
+    try:
+        task(slice(width // 2, width))
+    finally:
+        job.result()
 
 
 @dataclass(frozen=True)
@@ -134,12 +232,17 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
     scaled = np.flatnonzero(norms > limit)
     # few rows to scale: copy, as x * 1.0 == x, then scale those rows; the
     # cut-off sits at the measured crossover (README, Clipping)
-    if scaled.size <= grads.shape[0] // 16:
-        np.copyto(out, grads)
-        for i in scaled:
-            np.multiply(grads[i], scale[i], out=out[i])
-    else:
-        np.multiply(grads, scale[:, None], out=out)
+    few = scaled.size <= grads.shape[0] // 16
+
+    def scale_columns(cols):
+        if few:
+            np.copyto(out[:, cols], grads[:, cols])
+            for i in scaled:
+                np.multiply(grads[i, cols], scale[i], out=out[i, cols])
+        else:
+            np.multiply(grads[:, cols], scale[:, None], out=out[:, cols])
+
+    _by_columns(scale_columns, grads.shape[1])
     for i in unsafe:  # ||g|| = m * ||g / m|| with m = max |g|, free of overflow
         m = np.abs(grads[i]).max()
         unit = grads[i] / m
@@ -149,7 +252,12 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray
 
 
 def noisy_mean(
-    clipped: np.ndarray, noise_multiplier: float, clip_norm: float, noise_seed: int, work=None
+    clipped: np.ndarray,
+    noise_multiplier: float,
+    clip_norm: float,
+    noise_seed: int,
+    work=None,
+    normals=None,
 ) -> np.ndarray:
     """Average the clipped rows and add seeded N(0, (sigma*C)^2 I) noise.
 
@@ -159,17 +267,29 @@ def noisy_mean(
     draw is a pure function of noise_seed, so reruns are bit-identical.  The
     mean and the draw live in the workspace ``work`` (fresh by default); a
     reused workspace gives the bytes of a fresh one, and its result is
-    overwritten by the next call given it.
+    overwritten by the next call given it.  ``normals``, the standard normals
+    of noise_seed drawn beforehand, are scaled in place and not drawn again.
     """
     clipped = np.asarray(clipped, dtype=np.float64)
     if clipped.ndim != 2 or clipped.shape[0] == 0:
         raise ShapeError("expected a non-empty [batch x dim] matrix")
+    width = clipped.shape[1]
+    if normals is not None and normals.shape != (width,):
+        raise ShapeError(f"normals must have shape ({width},)")
     work = {} if work is None else work
-    mean = clipped.mean(axis=0, out=work_buffer(work, "mean", clipped.shape[1:]))
-    if noise_multiplier == 0.0:
-        return mean
-    noise = standard_normal(noise_seed, clipped.shape[1], work=work)
-    return np.add(mean, np.multiply(noise, noise_multiplier * clip_norm, out=noise), out=mean)
+    mean = work_buffer(work, "mean", (width,))
+    noise = None
+    if noise_multiplier != 0.0:
+        noise = standard_normal(noise_seed, width, work=work) if normals is None else normals
+    std = noise_multiplier * clip_norm
+
+    def mean_columns(cols):
+        clipped[:, cols].mean(axis=0, out=mean[cols])
+        if noise is not None:
+            np.add(mean[cols], np.multiply(noise[cols], std, out=noise[cols]), out=mean[cols])
+
+    _by_columns(mean_columns, width)
+    return mean
 
 
 def private_step(
@@ -188,17 +308,27 @@ def private_step(
     workspace ``work``: the gradient and clipped matrices in two buffers
     grown only when a (poisson) batch needs more, the mean and the noise in
     buffers of the trainable width.  The result is one of those buffers,
-    overwritten by the next step given the same workspace.
+    overwritten by the next step given the same workspace.  On a wide mask
+    the noise is drawn on the helper lane while the gradients are formed.
     """
-    need = batch.size * mask.trainable_count
+    width = mask.trainable_count
+    need = batch.size * width
     if work.get("grads", np.empty(0)).size < need:
         work["grads"], work["clipped"] = np.empty(need), np.empty(need)
-    grads = per_sample_gradients(spec, params, batch, mask.selected_layers, out=work["grads"])
-    # the clipped matrix takes the gradients' column-major layout
-    clipped = clip_per_sample(
-        grads, dp.clip_norm, out=work["clipped"][:need].reshape(grads.shape, order="F")
+    draw = None
+    if dp.noise_multiplier != 0.0 and _uses_lane(width):
+        draw = _on_lane(box_muller, generator(noise_seed), width, work)
+    try:
+        grads = per_sample_gradients(spec, params, batch, mask.selected_layers, out=work["grads"])
+        # the clipped matrix takes the gradients' column-major layout
+        clipped = clip_per_sample(
+            grads, dp.clip_norm, out=work["clipped"][:need].reshape(grads.shape, order="F")
+        )
+    finally:
+        normals = None if draw is None else draw.result()
+    return noisy_mean(
+        clipped, dp.noise_multiplier, dp.clip_norm, noise_seed, work=work, normals=normals
     )
-    return noisy_mean(clipped, dp.noise_multiplier, dp.clip_norm, noise_seed, work=work)
 
 
 def epoch_batches(plan: SamplerPlan) -> list[np.ndarray]:
@@ -273,7 +403,7 @@ def dp_step(
     else:
         update = grad
     values = params.values if in_place else params.values.copy()
-    values[mask.indices] -= cfg.learning_rate * update
+    values[mask.selector] -= cfg.learning_rate * update
     return params if in_place else ParameterVector(values, params.layout)
 
 

@@ -26,16 +26,27 @@ _HEADER = struct.Struct("<4sHHII")  # magic, version, encoding, client_id, round
 _BODY = struct.Struct("<IIII")  # tau, n_k, total_dim, entry_count
 
 
+def _selector(indices: np.ndarray) -> slice | np.ndarray:
+    """A slice when strictly increasing ``indices`` form one run, else the array."""
+    if indices.size and indices[-1] - indices[0] + 1 == indices.size:
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices
+
+
 @dataclass(frozen=True)
 class PartitionMask:
     """Boolean coordinate mask selecting the trainable subset of a layout.
 
     ``indices`` is read-only: every update cut with the mask shares it.
+    ``selector`` picks the same coordinates: a slice when they form one run
+    (adjacent layers), which reads and writes in place of a gather and a
+    scatter, else ``indices``.
     """
 
     selected_layers: tuple[str, ...]
     coordinate_mask: np.ndarray
     indices: np.ndarray = field(init=False, repr=False)
+    selector: slice | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.coordinate_mask, dtype=bool)
@@ -43,6 +54,7 @@ class PartitionMask:
         indices = np.flatnonzero(mask).astype(np.int64)
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "selector", _selector(indices))
 
     @property
     def total_count(self) -> int:
@@ -94,6 +106,11 @@ class MaskedUpdate:
     def entry_count(self) -> int:
         return int(self.indices.size)
 
+    @property
+    def selector(self) -> slice | np.ndarray:
+        """The indices as a slice when they form one run (see PartitionMask)."""
+        return _selector(self.indices)
+
 
 def extract_masked_update(
     w_new: ParameterVector,
@@ -111,7 +128,7 @@ def extract_masked_update(
         raise ShapeError(
             f"mask covers {mask.total_count} coordinates, parameters have {w_old.dim}"
         )
-    deltas = w_new.values[mask.indices] - w_old.values[mask.indices]
+    deltas = w_new.values[mask.selector] - w_old.values[mask.selector]
     return MaskedUpdate(client_id, round_index, mask.indices, deltas, tau, n_k)
 
 

@@ -64,6 +64,14 @@ def work_buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
 def standard_normal(key: int, n: int, work: dict | None = None) -> np.ndarray:
     """Draw ``n`` iid standard normals from stream ``key`` via Box-Muller.
 
+    The draw is ``box_muller(generator(key), n, work)``.
+    """
+    return box_muller(generator(key), n, work)
+
+
+def box_muller(gen: np.random.Generator, n: int, work: dict | None = None) -> np.ndarray:
+    """Turn ``n`` pairs' worth of ``gen``'s uniforms into ``n`` standard normals.
+
     Uses u1 mapped to (0, 1] so the log never sees zero.  The uniforms and
     the result live in the workspace ``work`` (fresh by default); a reused
     workspace gives the bytes of a fresh one, and its result is overwritten
@@ -73,7 +81,7 @@ def standard_normal(key: int, n: int, work: dict | None = None) -> np.ndarray:
         return np.zeros(0)
     work = {} if work is None else work
     pairs = (n + 1) // 2
-    r, theta = generator(key).random(out=work_buffer(work, "uniforms", (2, pairs)))
+    r, theta = gen.random(out=work_buffer(work, "uniforms", (2, pairs)))
     # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in place
     np.sqrt(np.multiply(np.log1p(np.negative(r, out=r), out=r), -2.0, out=r), out=r)
     np.multiply(theta, 2.0 * np.pi, out=theta)

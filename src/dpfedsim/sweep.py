@@ -76,8 +76,13 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     head = _head_layers(resolved)
+    # cells that differ only in epsilon need their own directories
+    several_eps = len({epsilon for _, _, epsilon in grid}) > 1
     rows: list[SweepRow] = []
     for cell_no, (clients, rounds, epsilon) in enumerate(grid):
+        cell_name = f"{resolved.name}-c{clients}-r{rounds}"
+        if several_eps:
+            cell_name += f"-e{epsilon!r}"
         accuracies: dict[str, float] = {}
         status = "ok"
         for variant_no, (label, mask, agg) in enumerate(_VARIANTS):
@@ -85,7 +90,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
                 resolved.experiment.seeds.global_seed, STREAM_SWEEP, cell_no, variant_no
             )
             overrides = [
-                f"name={resolved.name}-c{clients}-r{rounds}-{label}",
+                f"name={cell_name}-{label}",
                 f"clients={clients}",
                 f"rounds={rounds}",
                 f"mask_layers={head if mask == 'head' else 'all'}",

@@ -60,6 +60,10 @@ REJECTED = {
     "dp.noise_multiplier=inf": {"dp.noise_multiplier": "inf"},
     "dp.learning_rate=inf": {"dp.learning_rate": "inf"},
     "privacy.target_epsilon=inf": {"privacy.target_epsilon": "inf"},
+    "comm.bandwidth_mbps=inf": {"comm.bandwidth_mbps": "inf"},
+    "comm.full_model_bytes=inf": {"comm.full_model_bytes": "inf"},
+    # "0 <= x < inf"
+    "comm.overhead_bytes=inf": {"comm.overhead_bytes": "inf"},
     "dirichlet_alpha=nan": {"partition": "dirichlet", "dirichlet_alpha": "nan"},
     "pretrain.lr=nan": {
         "pretrain.epochs": "2",

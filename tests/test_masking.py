@@ -1,9 +1,13 @@
 """Partition masks, masked update extraction, wire format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dpfedsim import (
+    AdamState,
+    DpConfig,
     MaskedUpdate,
     ModelSpec,
     ParameterVector,
@@ -11,6 +15,7 @@ from dpfedsim import (
     ShapeError,
     aggregate,
     deserialize_update,
+    dp_step,
     extract_masked_update,
     layer_layout,
     make_mask,
@@ -56,6 +61,74 @@ def test_head_mask_selects_eight_of_seventeen():
 def test_unknown_layer_lists_valid_names():
     with pytest.raises(ShapeError, match="hidden.weight"):
         make_mask(LAYOUT, ["nope.weight"])
+
+
+@pytest.mark.parametrize(
+    "layers,run",
+    [
+        ([name for name, _, _ in LAYOUT], slice(0, 17)),
+        (["hidden.bias", "head.weight"], slice(6, 15)),
+        (["head.weight", "head.bias"], slice(9, 17)),
+        (["hidden.weight", "head.weight"], None),
+        ([], None),
+    ],
+)
+def test_the_selector_is_a_slice_exactly_when_the_indices_form_one_run(layers, run):
+    mask = make_mask(LAYOUT, layers)
+    if run is None:
+        assert mask.selector is mask.indices
+    else:
+        assert mask.selector == run
+    update = MaskedUpdate(0, 0, mask.indices, np.zeros(mask.trainable_count), 1, 1)
+    assert type(update.selector) is type(mask.selector)
+    w = random_params(3)
+    assert np.array_equal(w.values[mask.selector], w.values[mask.indices])
+
+
+def _masked_path_digest(layers):
+    """sha256 of what dp_step (sgd and adam, pure and in place),
+    extract_masked_update and aggregate (fedavg and fednova) make."""
+    spec = ModelSpec("mlp", input_dim=5, output_dim=3, hidden_dim=7)
+    layout = layer_layout(spec)
+    mask = make_mask(layout, layers)
+    w0 = ParameterVector(RNG(0).normal(size=mask.total_count), layout)
+    h = hashlib.sha256()
+    updates = []
+    for cid, optimizer in enumerate(("sgd", "adam")):
+        cfg = DpConfig(1.0, 0.0, 0.05, optimizer=optimizer)
+        state = AdamState.zeros(mask.trainable_count) if optimizer == "adam" else None
+        w = w0
+        for step in range(1, 4):
+            grad = RNG(10 * cid + step).normal(size=mask.trainable_count)
+            w = dp_step(w, mask, grad, cfg, step, state, in_place=step > 1)
+            h.update(w.values.tobytes())
+        updates.append(extract_masked_update(w, w0, mask, cid, 0, tau=3, n_k=10 + cid))
+        h.update(updates[-1].deltas.tobytes())
+    for kind in ("fedavg", "fednova"):
+        h.update(aggregate(w0, updates, AggregationOp(kind)).values.tobytes())
+    return h.hexdigest()
+
+
+# pinned while the three gathered and scattered through the index array
+@pytest.mark.parametrize(
+    "layers,expected",
+    [
+        (
+            ["hidden.bias", "head.weight"],
+            "56cf1ef332f1268371f955ef049058aa0d9e0805b27527b97d40003bf62895f3",
+        ),
+        (
+            ["hidden.weight", "head.weight"],
+            "36d54e53d0f22b9097557f801378cecef8a0ae6977bc12f22666a491370ce272",
+        ),
+        (
+            ["hidden.weight", "hidden.bias", "head.weight", "head.bias"],
+            "fcf6678ee1b97a9e9f44a2c2317f6f6454270d5ed8616942ded53a5628697d4d",
+        ),
+    ],
+)
+def test_the_masked_step_update_and_aggregate_keep_their_bytes(layers, expected):
+    assert _masked_path_digest(layers) == expected
 
 
 # ---------------------------------------------------------------- extraction

@@ -1,4 +1,6 @@
-"""Sweep cells' seeds and data, and sweeps rejected before they start."""
+"""Sweep cells' seeds, data and directories, and sweeps rejected before they start."""
+
+import hashlib
 
 import pytest
 
@@ -94,3 +96,41 @@ def test_cli_sweep_with_unloadable_data_leaves_no_directory(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert "row 4" in capsys.readouterr().err
+
+
+def _tree_digest(root):
+    """sha256 over every file's relative path and bytes, in path order."""
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    h = hashlib.sha256()
+    for p in files:
+        h.update(str(p.relative_to(root)).encode() + b"\0" + p.read_bytes())
+    return len(files), h.hexdigest()
+
+
+def test_a_sweep_with_one_epsilon_keeps_its_cell_names_and_bytes(tmp_path):
+    # pinned before epsilon joined the cell names of multi-epsilon sweeps
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,3", "sweep.epsilon": "0.65"}))
+    run_sweep(resolved, tmp_path / "sweep")
+    assert sorted(p.name for p in (tmp_path / "sweep" / "cells").iterdir())[:2] == [
+        "run-c2-r1-ft_fedavg",
+        "run-c2-r1-ft_fednova",
+    ]
+    assert _tree_digest(tmp_path / "sweep") == (
+        25,
+        "4698b639bcc9630596d54aaee880a66477eff21d4cfb1e664ee02fa9f0215009",
+    )
+
+
+def test_cells_differing_only_in_epsilon_get_their_own_directories(tmp_path):
+    # one directory per (clients, epsilon) cell used to be shared by both
+    # epsilons, the later run overwriting the earlier: 25 files, not 49
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,3", "sweep.epsilon": "0.65,1.0"}))
+    run_sweep(resolved, tmp_path / "sweep")
+    cells = sorted((tmp_path / "sweep" / "cells").iterdir())
+    assert len(cells) == 16
+    assert _tree_digest(tmp_path / "sweep")[0] == 49
+    for cell in cells:
+        epsilon = cell.name.split("-")[3]
+        assert epsilon in ("e0.65", "e1.0")
+        dump = read_summary(cell / "resolved_config.txt")
+        assert float(dump["privacy.target_epsilon"]) == float(epsilon[1:])
