@@ -181,37 +181,32 @@ class SamplerPlan:
         return min(1.0, self.batch_size / self.dataset_size)
 
 
-def clip_per_sample(grads: np.ndarray, clip_norm: float, out=None) -> np.ndarray:
+def clip_per_sample(grads: np.ndarray, clip_norm: float, work=None) -> np.ndarray:
     """Scale each row onto the L2 ball of radius clip_norm.
 
     Row i becomes g_i / max(1, ||g_i|| / C).  Rows already inside the ball
     are returned bitwise unchanged and the operation is exactly idempotent.
     A finite row whose squared norm overflows is still clipped, not zeroed.
-    The input is never written to.  ``out``, a float64 array of the shape and
-    memory order of ``grads`` that shares no memory with it, receives the
-    result, which is returned; the order fixes the norms' bits.
+    The input is never written to.  The result is ``work["clipped"]`` in the
+    workspace ``work`` (fresh by default; see rng.work_buffer), column-major
+    for column-major input and row-major otherwise; the order fixes the
+    norms' bits.  A result passed back in with its own workspace is refused.
     """
     if not clip_norm > 0:  # NaN fails too
         raise ShapeError("clip_norm must be > 0")
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise ShapeError("expected a [batch x dim] gradient matrix")
-    order = (grads.flags.c_contiguous, grads.flags.f_contiguous)
-    if out is None:
-        out = np.empty_like(grads)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.shape == grads.shape
-        and out.dtype == np.float64
-        and out.flags.writeable
-        and any(order)
-        and (out.flags.c_contiguous, out.flags.f_contiguous) == order
-    ):
-        raise ShapeError("out must be a writable float64 array of the shape and order of grads")
-    elif np.shares_memory(out, grads):
-        raise ShapeError("out must not share memory with grads")
+    column_major = grads.flags.f_contiguous and not grads.flags.c_contiguous
+    work = {} if work is None else work
+    if column_major:
+        out = work_buffer(work, "clipped", grads.shape[::-1]).T
+    else:
+        out = work_buffer(work, "clipped", grads.shape)
+    if np.shares_memory(out, grads):
+        raise ShapeError("grads must not share memory with the workspace's clipped matrix")
     with np.errstate(over="ignore"):  # overflowing rows are redone below
-        if grads.flags.f_contiguous and not grads.flags.c_contiguous:
+        if column_major:
             # a column-major matrix of >= 2 rows: einsum, like add.reduce,
             # sums each row's squares in column order, so the bits agree
             # where einsum rounds each product before adding it (no fused
@@ -304,26 +299,19 @@ def private_step(
     """One step's noisy clipped mean gradient over the trainable coordinates.
 
     Per-sample gradients of the mask's layers, clipped row by row, then
-    averaged with seeded noise.  Every intermediate lives in the caller's
-    workspace ``work``: the gradient and clipped matrices in two buffers
-    grown only when a (poisson) batch needs more, the mean and the noise in
-    buffers of the trainable width.  The result is one of those buffers,
-    overwritten by the next step given the same workspace.  On a wide mask
-    the noise is drawn on the helper lane while the gradients are formed.
+    averaged with seeded noise.  Every intermediate, the model walk's
+    included, lives in the caller's workspace ``work`` (see rng.work_buffer).
+    The result is one of its buffers, overwritten by the next step given the
+    same workspace.  On a wide mask the noise is drawn on the helper lane
+    while the gradients are formed; the draw's keys are not the walk's.
     """
     width = mask.trainable_count
-    need = batch.size * width
-    if work.get("grads", np.empty(0)).size < need:
-        work["grads"], work["clipped"] = np.empty(need), np.empty(need)
     draw = None
     if dp.noise_multiplier != 0.0 and _uses_lane(width):
         draw = _on_lane(box_muller, generator(noise_seed), width, work)
     try:
-        grads = per_sample_gradients(spec, params, batch, mask.selected_layers, out=work["grads"])
-        # the clipped matrix takes the gradients' column-major layout
-        clipped = clip_per_sample(
-            grads, dp.clip_norm, out=work["clipped"][:need].reshape(grads.shape, order="F")
-        )
+        grads = per_sample_gradients(spec, params, batch, mask.selected_layers, work=work)
+        clipped = clip_per_sample(grads, dp.clip_norm, work=work)
     finally:
         normals = None if draw is None else draw.result()
     return noisy_mean(

@@ -306,7 +306,7 @@ def forward(
 
 
 def per_sample_gradients(
-    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, layers=None, out=None
+    spec: ModelSpec, params: ParameterVector, batch: SampleBatch, layers=None, work=None
 ) -> np.ndarray:
     """Matrix of per-example loss gradients, one row per sample.
 
@@ -315,8 +315,9 @@ def per_sample_gradients(
     full matrix, bit for bit.  Backprop stops at the lowest layer that owns
     one of them.  The matrix is column-major; the private step sums row norms
     and batch means in that order, so the layout is part of a run's bits.
-    ``out``, a 1-D contiguous float64 buffer, receives the matrix in its first
-    ``width * n`` values; the result is then a view of it.
+    The matrix (``work["grads"]``, transposed) and the walk live in the
+    workspace ``work`` (fresh by default; see rng.work_buffer), so the result
+    is overwritten by the next call given the same workspace.
     """
     _check_inputs(spec, params, batch)
     spans, width = layer_spans(params.layout, layers), 0
@@ -324,19 +325,9 @@ def per_sample_gradients(
         spans[name] = slice(width, width + span.stop - span.start)
         width = spans[name].stop
     n = batch.size
-    if out is None:
-        out = np.empty(width * n)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.ndim == 1
-        and out.flags.c_contiguous
-        and out.flags.writeable
-        and out.size >= width * n
-    ):
-        raise ShapeError(f"out must be a writable 1-D contiguous float64 buffer of >= {width * n}")
-    cols = out[: width * n].reshape(width, n)  # the transposed result, one row per parameter
-    for layer, a, dz in _backprop(spec, params, batch, spans):
+    work = {} if work is None else work
+    cols = work_buffer(work, "grads", (width, n))  # the transposed result, one row per parameter
+    for layer, a, dz in _backprop(spec, params, batch, spans, work=work):
         if layer.weight in spans:
             block = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
             # transposed operands keep einsum's inner loop on contiguous memory;

@@ -13,6 +13,8 @@ pins the exact output sequence to this module instead of the numpy version.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Stream tags keep unrelated consumers of the same base seed apart.
@@ -50,14 +52,18 @@ def generator(key: int) -> np.random.Generator:
 
 
 def work_buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
-    """The float64 buffer ``work[key]``, remade only when its shape changes.
+    """The float64 buffer ``work[key]``, a C-order view of ``shape`` onto the
+    front of one flat allocation per key.
 
-    A workspace is a caller-owned dict of buffers; reusing one across calls at
-    one shape allocates each buffer once.
+    A workspace is a caller-owned dict of buffers.  The same array comes back
+    while the shape is unchanged; another shape gets a new view, and the
+    allocation grows only when the shape needs more values than it holds.
     """
     buf = work.get(key)
     if buf is None or buf.shape != shape:
-        buf = work[key] = np.empty(shape)
+        size = math.prod(shape)
+        flat = buf.base if buf is not None and buf.base.size >= size else np.empty(size)
+        buf = work[key] = flat[:size].reshape(shape)
     return buf
 
 

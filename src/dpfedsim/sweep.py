@@ -50,9 +50,13 @@ def _head_layers(resolved: ResolvedConfig) -> str:
 def _grid_values(resolved: ResolvedConfig, key: str, cast) -> list:
     parts = resolved.values[key].split(",")
     try:
-        return [cast(part.strip()) for part in parts if part.strip()]
+        values = [cast(part.strip()) for part in parts if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    for i, value in enumerate(values):
+        if value in values[:i]:  # its cells would run into one set of directories
+            raise ConfigError(f"{key}: {value!r} is repeated")
+    return values
 
 
 def sweep_grid(resolved: ResolvedConfig) -> list[tuple[int, int, float]]:

@@ -189,9 +189,9 @@ def test_run_local_updates_only_masked_indices():
 def _record_clip_calls(monkeypatch):
     calls = []
 
-    def recording(grads, clip_norm, out=None):
-        calls.append((grads, out))
-        return clip_per_sample(grads, clip_norm, out=out)
+    def recording(grads, clip_norm, work=None):
+        calls.append((grads, clip_per_sample(grads, clip_norm, work=work)))
+        return calls[-1][1]
 
     monkeypatch.setattr(dpsgd, "clip_per_sample", recording)
     return calls

@@ -134,3 +134,19 @@ def test_cells_differing_only_in_epsilon_get_their_own_directories(tmp_path):
         assert epsilon in ("e0.65", "e1.0")
         dump = read_summary(cell / "resolved_config.txt")
         assert float(dump["privacy.target_epsilon"]) == float(epsilon[1:])
+
+
+@pytest.mark.parametrize(
+    "key,value,shown",
+    [("sweep.clients", "2,2", "2"), ("sweep.rounds", "1,2,1", "1"), ("sweep.epsilon", "1,1.0", "1.0")],
+)
+def test_cli_sweep_rejects_a_repeated_grid_value(tmp_path, capsys, key, value, shown):
+    # a repeated value ran two cells into one set of directories: the second
+    # overwrote the first, leaving two sweep.csv rows over four cell directories
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in MINIMAL.items()) + f"{key} = {value}\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and f"{shown} is repeated" in err
