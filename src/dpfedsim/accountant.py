@@ -71,12 +71,11 @@ def sigma_for_target(
     """
     if not target_epsilon > 0:  # NaN fails too
         raise DomainError("target_epsilon must be > 0")
-    probe = PrivacyParams(sampling_ratio, 1.0, epochs, delta)
+    # the formula is symmetric in sigma and epsilon: swap them to invert it
+    swapped = PrivacyParams(sampling_ratio, target_epsilon, epochs, delta)
     if epochs == 0:
         raise DomainError("cannot hit a positive epsilon target with zero epochs")
-    return (probe.sampling_ratio / target_epsilon) * math.sqrt(
-        2.0 * probe.epochs * math.log(1.0 / probe.delta)
-    )
+    return epsilon_of(swapped)
 
 
 def compose_rounds(per_round: PrivacyParams, rounds: int) -> PrivacyReport:

@@ -17,8 +17,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .accountant import PrivacyParams, compose_rounds, sigma_for_target
-from .comm import write_records
-from .config import RESOLVED_FILE, ResolvedConfig, load_dataset, parse_config
+from .config import ResolvedConfig, load_dataset, parse_config
 from .models import save_params
 from .errors import ConfigError, DomainError, DpFedSimError, ShapeError
 from .federation import run_experiment
@@ -101,9 +100,7 @@ def _cmd_experiment(args: argparse.Namespace, centralized: bool) -> int:
     # created only now, so a run rejected at start leaves no directory behind
     run_dir = _run_dir(_output_root(args.out), resolved)
     run_dir.mkdir(parents=True)
-    resolved.values["dp.noise_multiplier"] = result.noise_multiplier  # the dump echoes it
-    (run_dir / RESOLVED_FILE).write_text(resolved.dump())
-    summary = write_records(result.records, run_dir)
+    summary = resolved.write_run(result, run_dir)
     save_params(result.final_params, run_dir / "model.npz")
     print(f"run dir: {run_dir}")
     for key, value in summary.items():

@@ -21,7 +21,6 @@ ROUNDS_FILE = "rounds.csv"
 SUMMARY_FILE = "summary.txt"
 _ROUNDS_VERSION = "# dpfedsim-rounds v1"
 _SUMMARY_VERSION = "# dpfedsim-summary v1"
-_COLUMNS = ("round", "loss", "accuracy", "epsilon", "bytes_up", "bytes_down", "delay_s", "wall_s")
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,19 @@ class RoundRecord:
     modeled_delay_s: float
     wall_time_s: float
     participants: int
+
+
+# rounds.csv column -> RoundRecord field, in file order: every field but participants
+_COLUMNS = {
+    "round": "round_index",
+    "loss": "global_loss",
+    "accuracy": "global_accuracy",
+    "epsilon": "epsilon_to_date",
+    "bytes_up": "bytes_up_per_client",
+    "bytes_down": "bytes_down_per_client",
+    "delay_s": "modeled_delay_s",
+    "wall_s": "wall_time_s",
+}
 
 
 def traffic_per_round(
@@ -90,48 +102,23 @@ def render_value(value: object) -> str:
 def render_rounds_table(records: list[RoundRecord]) -> str:
     lines = [_ROUNDS_VERSION, ",".join(_COLUMNS)]
     for r in records:
-        lines.append(
-            ",".join(
-                render_value(v)
-                for v in (
-                    r.round_index,
-                    r.global_loss,
-                    r.global_accuracy,
-                    r.epsilon_to_date,
-                    r.bytes_up_per_client,
-                    r.bytes_down_per_client,
-                    r.modeled_delay_s,
-                    r.wall_time_s,
-                )
-            )
-        )
+        lines.append(",".join(render_value(getattr(r, field)) for field in _COLUMNS.values()))
     return "\n".join(lines) + "\n"
 
 
 def summarize(records: list[RoundRecord]) -> dict[str, float | int | str]:
-    """Aggregate totals; a pure function of the records, so rewrites are idempotent."""
-    if not records:
-        return {
-            "rounds": 0,
-            "final_loss": 0.0,
-            "final_accuracy": 0.0,
-            "final_epsilon": 0.0,
-            "total_bytes_up": 0.0,
-            "total_bytes_down": 0.0,
-            "total_delay_s": 0.0,
-            "total_wall_s": 0.0,
-            "bytes_up_per_client_round": 0.0,
-        }
-    last = records[-1]
+    """Aggregate totals; a pure function of the records, so rewrites are idempotent.
+    With no records, every value but the round count is 0.0."""
+    last = records[-1] if records else RoundRecord(0, *[0.0] * 7, 0)
     return {
         "rounds": len(records),
         "final_loss": last.global_loss,
         "final_accuracy": last.global_accuracy,
         "final_epsilon": last.epsilon_to_date,
-        "total_bytes_up": sum(r.bytes_up_per_client * r.participants for r in records),
-        "total_bytes_down": sum(r.bytes_down_per_client * r.participants for r in records),
-        "total_delay_s": sum(r.modeled_delay_s for r in records),
-        "total_wall_s": sum(r.wall_time_s for r in records),
+        "total_bytes_up": sum((r.bytes_up_per_client * r.participants for r in records), 0.0),
+        "total_bytes_down": sum((r.bytes_down_per_client * r.participants for r in records), 0.0),
+        "total_delay_s": sum((r.modeled_delay_s for r in records), 0.0),
+        "total_wall_s": sum((r.wall_time_s for r in records), 0.0),
         "bytes_up_per_client_round": last.bytes_up_per_client,
     }
 

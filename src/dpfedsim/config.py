@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import AggregationOp
-from .comm import CommModel, render_value
+from .comm import CommModel, render_value, write_records
 from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
 from .dpsgd import DpConfig
 from .errors import ConfigError, DomainError, ShapeError
-from .federation import DEFAULT_BANDWIDTH_MBPS, ExperimentConfig, Seeds, default_comm
+from .federation import DEFAULT_BANDWIDTH_MBPS, ExperimentConfig, ExperimentResult, Seeds, default_comm
 from .models import ModelSpec, SampleBatch
 
 DUMP_VERSION = "# dpfedsim resolved config v1"
@@ -99,10 +99,17 @@ class ResolvedConfig:
         return self.values["name"]
 
     def dump(self) -> str:
-        lines = [DUMP_VERSION]
-        for key in SCHEMA:
-            lines.append(f"{key} = {render_value(self.values[key])}")
+        lines = [DUMP_VERSION] + [f"{k} = {v}" for k, v in rendered_raw(self).items()]
         return "\n".join(lines) + "\n"
+
+    def write_run(self, result: ExperimentResult, run_dir: Path) -> dict:
+        """Write a run directory: rounds.csv, summary.txt and the dump, which
+        echoes the noise multiplier the run used (solved when it had a target).
+        Returns the summary."""
+        summary = write_records(result.records, run_dir)
+        self.values["dp.noise_multiplier"] = result.noise_multiplier
+        (run_dir / RESOLVED_FILE).write_text(self.dump())
+        return summary
 
 
 def _coerce(key: str, raw: str) -> object:

@@ -84,10 +84,17 @@ def split_train_test(
     """Seeded shuffled split; both sides are non-empty."""
     if not (0.0 < test_fraction < 1.0):
         raise ShapeError("test_fraction must lie in (0, 1)")
+    test, train = seeded_split(data, test_fraction, derive_seed(seed, STREAM_DATASET, 1))
+    return train, test
+
+
+def seeded_split(data: SampleBatch, fraction: float, key: int) -> tuple[SampleBatch, SampleBatch]:
+    """The first round(fraction * n) rows of a permutation seeded by key, but
+    at least one and at most n - 1, and the rest."""
     n = data.size
-    n_test = max(1, min(n - 1, round(n * test_fraction)))
-    order = generator(derive_seed(seed, STREAM_DATASET, 1)).permutation(n)
-    return data.take(order[n_test:]), data.take(order[:n_test])
+    n_first = max(1, min(n - 1, round(fraction * n)))
+    order = generator(key).permutation(n)
+    return data.take(order[:n_first]), data.take(order[n_first:])
 
 
 def load_delimited(path: str | Path) -> SampleBatch:

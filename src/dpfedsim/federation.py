@@ -21,6 +21,7 @@ import numpy as np
 from .accountant import PrivacyParams, compose_rounds, sigma_for_target
 from .aggregation import AggregationOp, aggregate
 from .comm import CommModel, RoundRecord, delay_seconds, traffic_per_round
+from .data import seeded_split
 from .dpsgd import (
     SAMPLER_MODES,
     AdamState,
@@ -276,9 +277,7 @@ def split_public_private(
     """Carve off a seeded public slice for non-private warm-starting."""
     if public_fraction == 0.0:
         return None, data
-    n_public = max(1, min(data.size - 1, round(public_fraction * data.size)))
-    order = generator(derive_seed(seed, STREAM_PUBLIC_SPLIT)).permutation(data.size)
-    return data.take(order[:n_public]), data.take(order[n_public:])
+    return seeded_split(data, public_fraction, derive_seed(seed, STREAM_PUBLIC_SPLIT))
 
 
 def initial_params(cfg: ExperimentConfig, public: SampleBatch | None) -> ParameterVector:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .comm import read_summary, write_records
+from .comm import MB, SUMMARY_FILE, read_summary
 from .config import RESOLVED_FILE, ResolvedConfig, load_dataset, rendered_raw, resolve_raw
 from .errors import ConfigError, DpFedSimError
 from .federation import run_experiment
@@ -23,13 +23,14 @@ from .models import layer_layout, layer_spans
 from .rng import STREAM_SWEEP, derive_seed
 
 SWEEP_FILE = "sweep.csv"
-_SWEEP_HEADER = "clients,rounds,epsilon,ft_fedavg,sel_fedavg,ft_fednova,sel_fednova,status"
-
 _VARIANTS = (
     ("ft_fedavg", "all", "fedavg"),
     ("sel_fedavg", "head", "fedavg"),
     ("ft_fednova", "all", "fednova"),
     ("sel_fednova", "head", "fednova"),
+)
+_REPORT_COLUMNS = (
+    "run", "accuracy", "epsilon", "traffic_mb", "delay_s", "runtime_s", "traffic_ratio"
 )
 
 
@@ -73,9 +74,9 @@ def sweep_grid(resolved: ResolvedConfig) -> list[tuple[int, int, float]]:
 
 def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
     """Run the grid and persist one summary row per cell plus per-run outputs."""
+    import csv  # at module level it would slow every `import dpfedsim`
+
     grid = sweep_grid(resolved)
-    if not grid:
-        raise ConfigError("sweep grid is empty")
     train, test = load_dataset(resolved)  # no cell overrides a dataset key
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,10 +107,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
             try:
                 cell = with_overrides(resolved, overrides)
                 result = run_experiment(cell.experiment, train, test)
-                run_dir = out / "cells" / str(cell.name)
-                write_records(result.records, run_dir)
-                cell.values["dp.noise_multiplier"] = result.noise_multiplier
-                (run_dir / RESOLVED_FILE).write_text(cell.dump())
+                cell.write_run(result, out / "cells" / str(cell.name))
                 if result.error:
                     status = f"error: {result.error}"
                     accuracies[label] = float("nan")
@@ -119,13 +117,14 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
                 status = f"error: {exc}"
                 accuracies[label] = float("nan")
         rows.append(SweepRow(clients, rounds, epsilon, accuracies, status))
-    lines = [_SWEEP_HEADER]
-    for row in rows:
-        cells = [str(row.clients), str(row.rounds), repr(row.epsilon)]
-        cells += [repr(row.accuracies[label]) for label, _, _ in _VARIANTS]
-        cells.append(row.status)
-        lines.append(",".join(cells))
-    (out / SWEEP_FILE).write_text("\n".join(lines) + "\n")
+    labels = [label for label, _, _ in _VARIANTS]
+    with open(out / SWEEP_FILE, "w", newline="") as fh:
+        # quotes only a field holding a comma, quote or newline: an error status
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["clients", "rounds", "epsilon", *labels, "status"])
+        for row in rows:
+            accuracies = [repr(row.accuracies[label]) for label in labels]
+            writer.writerow([row.clients, row.rounds, repr(row.epsilon), *accuracies, row.status])
     return rows
 
 
@@ -143,8 +142,8 @@ def render_report(output_dir: str | Path) -> str:
     out = Path(output_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"report directory not found: {out}")
-    runs = []
-    for summary_path in sorted(out.rglob("summary.txt")):
+    table = [_REPORT_COLUMNS]
+    for summary_path in sorted(out.rglob(SUMMARY_FILE)):
         run_dir = summary_path.parent
         config_path = run_dir / RESOLVED_FILE
         if not config_path.is_file():
@@ -157,34 +156,21 @@ def render_report(output_dir: str | Path) -> str:
             ratio = bytes_up / float(full_bytes)
         else:
             ratio = float("nan")
-        runs.append(
-            {
-                "run": run_dir.name,
-                "accuracy": float(summary.get("final_accuracy", "nan")),
-                "epsilon": float(summary.get("final_epsilon", "nan")),
-                "traffic_mb": bytes_up / 1e6,
-                "delay_s": float(summary.get("total_delay_s", "nan")),
-                "runtime_s": float(summary.get("total_wall_s", "nan")),
-                "traffic_ratio": ratio,
-            }
+        table.append(
+            (
+                run_dir.name,
+                f"{float(summary.get('final_accuracy', 'nan')):.4f}",
+                f"{float(summary.get('final_epsilon', 'nan')):.4f}",
+                f"{bytes_up / MB:.4f}",
+                f"{float(summary.get('total_delay_s', 'nan')):.4f}",
+                f"{float(summary.get('total_wall_s', 'nan')):.4f}",
+                f"{ratio:.6f}",
+            )
         )
-    if not runs:
+    if len(table) == 1:
         raise FileNotFoundError(
-            f"no completed runs under {out}: expected <run>/summary.txt and <run>/{RESOLVED_FILE}"
+            f"no completed runs under {out}: expected <run>/{SUMMARY_FILE} and <run>/{RESOLVED_FILE}"
         )
-    headers = ("run", "accuracy", "epsilon", "traffic_mb", "delay_s", "runtime_s", "traffic_ratio")
-    table = [headers] + [
-        (
-            r["run"],
-            f"{r['accuracy']:.4f}",
-            f"{r['epsilon']:.4f}",
-            f"{r['traffic_mb']:.4f}",
-            f"{r['delay_s']:.4f}",
-            f"{r['runtime_s']:.4f}",
-            f"{r['traffic_ratio']:.6f}",
-        )
-        for r in runs
-    ]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    widths = [max(map(len, column)) for column in zip(*table)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in table]
     return "\n".join(lines) + "\n"

@@ -122,3 +122,13 @@ def test_report_fields():
     assert report.per_round_epochs == 2
     assert report.delta == 1e-4
     assert report.epsilon == pytest.approx(mp_epsilon(0.1, 1.0, 6, 1e-4), abs=1e-15)
+
+
+def test_sigma_for_target_is_the_formula_bit_for_bit():
+    # pinned before sigma_for_target evaluated epsilon_of's expression itself
+    for q in (0.001, 0.0123, 0.1, 0.37, 1.0):
+        for epochs in (1, 2, 5, 42, 199):
+            for delta in (1e-8, 1e-5, 1e-4, 0.003):
+                for target in (0.05, 0.65, 1.0, 1.33, 7.9):
+                    expected = (q / target) * math.sqrt(2.0 * epochs * math.log(1.0 / delta))
+                    assert sigma_for_target(q, epochs, delta, target) == expected

@@ -1,5 +1,7 @@
 """Traffic/delay cost model and the metrics sink formats."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,26 @@ def test_unwritable_path_raises_os_error(tmp_path):
     blocker.write_text("x")
     with pytest.raises(OSError):
         write_records([record(0)], blocker / "nested")
+
+
+def test_no_rounds_keep_their_bytes(tmp_path):
+    # pinned before a run with no rounds went through the same summary code
+    summary = write_records([], tmp_path)
+    assert (tmp_path / "rounds.csv").read_bytes() == (
+        b"# dpfedsim-rounds v1\nround,loss,accuracy,epsilon,bytes_up,bytes_down,delay_s,wall_s\n"
+    )
+    assert (tmp_path / "summary.txt").read_bytes() == (
+        b"# dpfedsim-summary v1\nrounds=0\nfinal_loss=0.0\nfinal_accuracy=0.0\n"
+        b"final_epsilon=0.0\ntotal_bytes_up=0.0\ntotal_bytes_down=0.0\ntotal_delay_s=0.0\n"
+        b"total_wall_s=0.0\nbytes_up_per_client_round=0.0\n"
+    )
+    assert summarize([]) == summary
+    assert [type(v) for v in summary.values()] == [int] + [float] * 8
+
+
+def test_every_record_field_but_participants_is_a_column_in_field_order():
+    names = [f.name for f in fields(RoundRecord)]
+    values = {name: i + 0.5 for i, name in enumerate(names)}
+    rec = RoundRecord(**values)
+    row = render_rounds_table([rec]).splitlines()[-1].split(",")
+    assert row == [repr(values[name]) for name in names if name != "participants"]

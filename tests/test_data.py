@@ -1,9 +1,12 @@
 """Synthetic generators, splits, and the delimited loader."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dpfedsim import ShapeError, SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
+from dpfedsim.federation import split_public_private
 
 
 def test_blobs_every_class_represented():
@@ -73,3 +76,26 @@ def test_load_delimited_rejects_non_finite_values_naming_the_row(tmp_path, cell)
     path.write_text(f"0.5,1.5,0\n-1.0,2.0,1\n0.0,{cell},1\n1.0,{cell},0\n")
     with pytest.raises(ShapeError, match="row 3 holds a non-finite value"):
         load_delimited(path)
+
+
+def _digest(batch):
+    return hashlib.sha256(batch.inputs.tobytes() + batch.targets.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fraction", [0.01, 0.3, 0.99])
+def test_both_seeded_splits_keep_their_rows(fraction):
+    # pinned before the two splits shared one function; 0.01 and 0.99 of 10
+    # rows hit the clamps of one row and n - 1 rows
+    data = make_dataset(SyntheticDatasetSpec("gaussian-blobs", 2, 10, 2, seed=4))
+    train, test = split_train_test(data, fraction, seed=7)
+    public, private = split_public_private(data, fraction, 7)
+    n_first, digests = SPLIT_PINS[fraction]
+    assert test.size == public.size == n_first
+    assert [_digest(b) for b in (train, test, public, private)] == digests
+
+
+SPLIT_PINS = {  # fraction -> (test and public rows, digests of train, test, public, private)
+    0.01: (1, ["a2dfd8c1c97c71a0", "829f78fc15d269ca", "12d39ad8a74185a3", "4e615f05f7f6fbea"]),
+    0.3: (3, ["3433db817717e57d", "c40c5609ace70c96", "7bc55afb162f15cb", "488ac595d728cc56"]),
+    0.99: (9, ["33e75d782feff582", "de51f4b7729080aa", "592ea00815a3c404", "829f78fc15d269ca"]),
+}

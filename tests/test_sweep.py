@@ -1,5 +1,6 @@
 """Sweep cells' seeds, data and directories, and sweeps rejected before they start."""
 
+import csv
 import hashlib
 
 import pytest
@@ -8,7 +9,7 @@ from dpfedsim import config, resolve_raw, sigma_for_target
 from dpfedsim.cli import EXIT_CONFIG, main
 from dpfedsim.comm import read_summary
 from dpfedsim.federation import Seeds
-from dpfedsim.sweep import run_sweep, with_overrides
+from dpfedsim.sweep import render_report, run_sweep, with_overrides
 
 MINIMAL = {
     "model.kind": "mlp",
@@ -150,3 +151,30 @@ def test_cli_sweep_rejects_a_repeated_grid_value(tmp_path, capsys, key, value, s
     assert not out.exists()
     err = capsys.readouterr().err
     assert key in err and f"{shown} is repeated" in err
+
+
+def test_the_report_over_a_two_epsilon_sweep_keeps_its_text(tmp_path):
+    # pinned before the report named its columns once
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,3", "sweep.epsilon": "0.65,1.0"}))
+    run_sweep(resolved, tmp_path / "sweep")
+    text = render_report(tmp_path / "sweep")
+    assert text.splitlines()[0].split() == [
+        "run", "accuracy", "epsilon", "traffic_mb", "delay_s", "runtime_s", "traffic_ratio"
+    ]
+    assert len(text.splitlines()) == 17
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "425d2783061041b3c1da009466644f446003f7fc4629cbc121948fa255e082af"
+    )
+
+
+def test_a_status_holding_commas_stays_one_csv_field(tmp_path):
+    # three classes under a two-way head fail every cell with a message that
+    # holds a comma; written unquoted, the row read back as 10 fields under 8
+    resolved = resolve_raw(dict(MINIMAL, **{"dataset.classes": "3", "sweep.clients": "2,3"}))
+    rows = run_sweep(resolved, tmp_path / "sweep")
+    assert all("," in row.status for row in rows)
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [len(fields) for fields in table] == [8, 8, 8]
+    assert [fields[-1] for fields in table] == ["status"] + [row.status for row in rows]
+    assert table[1][:7] == ["2", "1", "0.0", "nan", "nan", "nan", "nan"]
