@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     acct.add_argument("--epochs", type=int, required=True, help="local epochs per round")
     acct.add_argument("--rounds", type=int, default=1)
-    acct.add_argument("--delta", type=float, default=1e-4)
+    acct.add_argument("--delta", type=float, default=PrivacyParams.delta)
 
     rep = sub.add_parser("report", help="tabulate completed runs")
     rep.add_argument("--out", type=str, default=None, help="directory holding run outputs")

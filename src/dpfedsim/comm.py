@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ShapeError
-from .masking import PartitionMask
+from .masking import DEFAULT_ENCODING, PartitionMask
+from .models import ModelSpec, parameter_count
 
 MB = 1_000_000  # metrics use SI megabytes
+DEFAULT_BANDWIDTH_MBPS = 25.0 / 3.0  # 8.333... MB/s
 
 ROUNDS_FILE = "rounds.csv"
 SUMMARY_FILE = "summary.txt"
@@ -38,6 +40,11 @@ class CommModel:
             raise ShapeError("full_model_bytes must be > 0 and finite")
         if not 0 <= self.per_message_overhead_bytes < math.inf:
             raise ShapeError("overhead must be >= 0 and finite")
+
+
+def default_comm(spec: ModelSpec) -> CommModel:
+    """The link of a run that sets none: B_f = 4 d, every parameter one float32."""
+    return CommModel(DEFAULT_BANDWIDTH_MBPS, 4.0 * parameter_count(spec))
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ _COLUMNS = {
 
 
 def traffic_per_round(
-    mask: PartitionMask, comm: CommModel, encoding: str = "dense-f32"
+    mask: PartitionMask, comm: CommModel, encoding: str = DEFAULT_ENCODING
 ) -> float:
     """Upstream bytes per client per round for a full masked update; the one traffic model."""
     if encoding == "dense-f32":

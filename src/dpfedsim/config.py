@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import AggregationOp
-from .comm import CommModel, render_value, write_records
+from .comm import DEFAULT_BANDWIDTH_MBPS, CommModel, default_comm, render_value, write_records
 from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
 from .dpsgd import DpConfig
 from .errors import ConfigError, DomainError, ShapeError
-from .federation import DEFAULT_BANDWIDTH_MBPS, ExperimentConfig, ExperimentResult, Seeds, default_comm
+from .federation import ExperimentConfig, ExperimentResult, Seeds
 from .models import ModelSpec, SampleBatch
 
 DUMP_VERSION = "# dpfedsim resolved config v1"
@@ -31,56 +31,57 @@ RESOLVED_FILE = "resolved_config.txt"
 _REQUIRED = object()
 
 # key -> (type tag, default, field); order here is the dump order.  A default
-# is a constant, _REQUIRED, or a rule over the values of the rows above it.
-# A field "group.name" sets `name` of the model, dp, seeds, comm or dataset
-# object, a bare one sets the ExperimentConfig field, and None sets no field.
+# is the field's own default read from its class, a constant only the config
+# has, _REQUIRED, or a rule over the values of the rows above it.  A field
+# "group.name" sets `name` of the model, dp, seeds, comm or dataset object, a
+# bare one sets the ExperimentConfig field, and None sets no field.
 SCHEMA: dict[str, tuple[str, object, str | None]] = {
     "name": ("str", "run", None),
     "model.kind": ("str", _REQUIRED, "model.kind"),
     "model.input_dim": ("int", _REQUIRED, "model.input_dim"),
     "model.output_dim": ("int", _REQUIRED, "model.output_dim"),
-    "model.hidden_dim": ("int", 0, "model.hidden_dim"),
-    "model.activation": ("str", "tanh", "model.activation"),
+    "model.hidden_dim": ("int", ModelSpec.hidden_dim, "model.hidden_dim"),
+    "model.activation": ("str", ModelSpec.activation, "model.activation"),
     "clients": ("int", _REQUIRED, "clients"),
     "rounds": ("int", _REQUIRED, "rounds"),
     "local_epochs": ("int", 1, "local_epochs"),
     "batch_size": ("int", 32, "batch_size"),
-    "participation_fraction": ("float", 1.0, "participation_fraction"),
+    "participation_fraction": ("float", ExperimentConfig.participation_fraction, "participation_fraction"),
     "mask_layers": ("str", "all", "mask_layers"),
-    "aggregation": ("str", "fedavg", "aggregation"),
-    "partition": ("str", "iid", "partition"),
-    "dirichlet_alpha": ("float", 0.5, "dirichlet_alpha"),
-    "sampler": ("str", "shuffle", "sampler_mode"),
+    "aggregation": ("str", ExperimentConfig.aggregation.kind, "aggregation"),
+    "partition": ("str", ExperimentConfig.partition, "partition"),
+    "dirichlet_alpha": ("float", ExperimentConfig.dirichlet_alpha, "dirichlet_alpha"),
+    "sampler": ("str", ExperimentConfig.sampler_mode, "sampler_mode"),
     "dp.clip_norm": ("float", 1.0, "dp.clip_norm"),
     "dp.noise_multiplier": ("float", 1.0, "dp.noise_multiplier"),
     "dp.learning_rate": ("float", 0.1, "dp.learning_rate"),
-    "dp.optimizer": ("str", "sgd", "dp.optimizer"),
-    "dp.adam_beta1": ("float", 0.9, "dp.adam_beta1"),
-    "dp.adam_beta2": ("float", 0.999, "dp.adam_beta2"),
-    "dp.adam_eps": ("float", 1e-8, "dp.adam_eps"),
-    "privacy.delta": ("float", 1e-4, "delta"),
+    "dp.optimizer": ("str", DpConfig.optimizer, "dp.optimizer"),
+    "dp.adam_beta1": ("float", DpConfig.adam_beta1, "dp.adam_beta1"),
+    "dp.adam_beta2": ("float", DpConfig.adam_beta2, "dp.adam_beta2"),
+    "dp.adam_eps": ("float", DpConfig.adam_eps, "dp.adam_eps"),
+    "privacy.delta": ("float", ExperimentConfig.delta, "delta"),
     "privacy.target_epsilon": ("float", 0.0, "target_epsilon"),  # 0 means "not set"
-    "seeds.global": ("int", 0, "seeds.global_seed"),
+    "seeds.global": ("int", Seeds.global_seed, "seeds.global_seed"),
     "seeds.data": ("int", lambda v: v["seeds.global"] + 1, "seeds.data_seed"),
     "seeds.noise": ("int", lambda v: v["seeds.global"] + 2, "seeds.noise_seed"),
-    "pretrain.epochs": ("int", 0, "pretrain_epochs"),
-    "pretrain.lr": ("float", 0.1, "pretrain_lr"),
-    "pretrain.public_fraction": ("float", 0.0, "public_fraction"),
+    "pretrain.epochs": ("int", ExperimentConfig.pretrain_epochs, "pretrain_epochs"),
+    "pretrain.lr": ("float", ExperimentConfig.pretrain_lr, "pretrain_lr"),
+    "pretrain.public_fraction": ("float", ExperimentConfig.public_fraction, "public_fraction"),
     "dataset.source": ("str", "synthetic", None),
     "dataset.generator": ("str", "gaussian-blobs", "dataset.generator"),
     "dataset.classes": ("int", lambda v: v["model.output_dim"], "dataset.classes"),
     "dataset.samples": ("int", 600, "dataset.samples"),
     "dataset.input_dim": ("int", lambda v: v["model.input_dim"], "dataset.input_dim"),
-    "dataset.noise_std": ("float", 0.25, "dataset.noise_std"),
+    "dataset.noise_std": ("float", SyntheticDatasetSpec.noise_std, "dataset.noise_std"),
     "dataset.seed": ("int", lambda v: v["seeds.data"], "dataset.seed"),
     "dataset.path": ("str", "", None),
     "dataset.test_fraction": ("float", 0.25, None),
     "comm.bandwidth_mbps": ("float", DEFAULT_BANDWIDTH_MBPS, "comm.bandwidth_mbps"),
     "comm.full_model_bytes": ("str", "auto", "comm.full_model_bytes"),
-    "comm.overhead_bytes": ("float", 0.0, "comm.per_message_overhead_bytes"),
-    "comm.masked_broadcast": ("bool", False, "masked_broadcast"),
-    "comm.seconds_per_coord": ("float", 1e-9, "seconds_per_coord"),
-    "comm.encoding": ("str", "dense-f32", "encoding"),
+    "comm.overhead_bytes": ("float", CommModel.per_message_overhead_bytes, "comm.per_message_overhead_bytes"),
+    "comm.masked_broadcast": ("bool", ExperimentConfig.masked_broadcast, "masked_broadcast"),
+    "comm.seconds_per_coord": ("float", ExperimentConfig.seconds_per_coord, "seconds_per_coord"),
+    "comm.encoding": ("str", ExperimentConfig.encoding, "encoding"),
     "sweep.clients": ("str", "", None),
     "sweep.rounds": ("str", "", None),
     "sweep.epsilon": ("str", "", None),

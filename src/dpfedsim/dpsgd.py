@@ -198,7 +198,6 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, work=None) -> np.ndarra
     if grads.ndim != 2:
         raise ShapeError("expected a [batch x dim] gradient matrix")
     column_major = grads.flags.f_contiguous and not grads.flags.c_contiguous
-    work = {} if work is None else work
     if column_major:
         out = work_buffer(work, "clipped", grads.shape[::-1]).T
     else:
@@ -271,7 +270,6 @@ def noisy_mean(
     width = clipped.shape[1]
     if normals is not None and normals.shape != (width,):
         raise ShapeError(f"normals must have shape ({width},)")
-    work = {} if work is None else work
     mean = work_buffer(work, "mean", (width,))
     noise = None
     if noise_multiplier != 0.0:

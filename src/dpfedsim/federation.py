@@ -20,7 +20,7 @@ import numpy as np
 
 from .accountant import PrivacyParams, compose_rounds, sigma_for_target
 from .aggregation import AggregationOp, aggregate
-from .comm import CommModel, RoundRecord, delay_seconds, traffic_per_round
+from .comm import CommModel, RoundRecord, default_comm, delay_seconds, traffic_per_round
 from .data import seeded_split
 from .dpsgd import (
     SAMPLER_MODES,
@@ -33,7 +33,8 @@ from .dpsgd import (
     private_step,
 )
 from .errors import ConfigError, NumericError, ShapeError
-from .masking import ENCODINGS, MaskedUpdate, PartitionMask, extract_masked_update, make_mask
+from .masking import DEFAULT_ENCODING, ENCODINGS, MaskedUpdate, PartitionMask
+from .masking import extract_masked_update, make_mask
 from .models import (
     ModelSpec,
     ParameterVector,
@@ -56,7 +57,6 @@ from .rng import (
 )
 
 PARTITION_SCHEMES = ("iid", "dirichlet")
-DEFAULT_BANDWIDTH_MBPS = 25.0 / 3.0  # 8.333... MB/s
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class ExperimentConfig:
     local_epochs: int
     batch_size: int
     dp: DpConfig
-    delta: float = 1e-4
+    delta: float = PrivacyParams.delta
     target_epsilon: float | None = None
     participation_fraction: float = 1.0
     mask_layers: tuple[str, ...] = ()  # empty tuple means full fine-tuning
@@ -99,7 +99,7 @@ class ExperimentConfig:
     comm: CommModel | None = None
     masked_broadcast: bool = False
     seconds_per_coord: float = 1e-9
-    encoding: str = "dense-f32"
+    encoding: str = DEFAULT_ENCODING
 
     def validate(self) -> None:
         if self.clients < 1:
@@ -164,7 +164,7 @@ def partition_data(
     clients: int,
     scheme: str,
     seed: int,
-    alpha: float = 0.5,
+    alpha: float = ExperimentConfig.dirichlet_alpha,
     client_seed_root: int | None = None,
 ) -> list[ClientShard]:
     """Split a dataset into disjoint client shards.
@@ -346,11 +346,6 @@ def _client_epsilon(cfg: ExperimentConfig, shard: ClientShard, rounds_participat
         delta=cfg.delta,
     )
     return compose_rounds(per_round, rounds_participated).epsilon
-
-
-def default_comm(spec: ModelSpec) -> CommModel:
-    """The link of a run that sets none: B_f = 4 d, every parameter one float32."""
-    return CommModel(DEFAULT_BANDWIDTH_MBPS, 4.0 * parameter_count(spec), 0.0)
 
 
 def run_experiment(

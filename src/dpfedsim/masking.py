@@ -16,7 +16,8 @@ import numpy as np
 from .errors import NonFiniteUpdateError, ProtocolError, ShapeError
 from .models import Layout, ParameterVector, layer_spans
 
-ENCODINGS = ("dense-f32", "sparse-idx32-f32")
+DEFAULT_ENCODING = "dense-f32"
+ENCODINGS = (DEFAULT_ENCODING, "sparse-idx32-f32")
 
 MAGIC = b"FDPS"
 WIRE_VERSION = 1
@@ -132,7 +133,7 @@ def extract_masked_update(
     return MaskedUpdate(client_id, round_index, mask.indices, deltas, tau, n_k)
 
 
-def serialize_update(update: MaskedUpdate, total_dim: int, encoding: str = "dense-f32") -> bytes:
+def serialize_update(update: MaskedUpdate, total_dim: int, encoding: str = DEFAULT_ENCODING) -> bytes:
     """Binary wire form: 16-byte header, 16-byte body, then the payload.
 
     Layout (all little-endian):

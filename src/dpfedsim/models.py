@@ -259,7 +259,7 @@ KINDS = {
 }
 
 
-def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict) -> list:
+def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict | None) -> list:
     """Forward pass; per layer, bottom first: (layer, W, input a, output z), z in
     the workspace ``work``.  A hidden layer's activation overwrites its z in place."""
     steps, a, spans = [], x, layer_spans(params.layout)
@@ -280,7 +280,6 @@ def _backprop(
     head's delta is divided by ``divisor`` before it is propagated.  The walk
     and deltas live in the workspace ``work`` (fresh by default): resuming
     overwrites a yielded activation with its derivative, the next walk the rest."""
-    work = {} if work is None else work
     steps = _walk(spec, params, batch.inputs, work)
     owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & set(names)]
     lowest = owners[0] if owners else len(steps)
@@ -301,7 +300,7 @@ def forward(
     """Per-sample losses and predictions: class probabilities for classifiers
     (shape [batch x output_dim]), raw outputs for regression."""
     _check_inputs(spec, params, batch)
-    z = _walk(spec, params, batch.inputs, {})[-1][3]  # fresh: the linear head returns z itself
+    z = _walk(spec, params, batch.inputs, None)[-1][3]  # fresh: the linear head returns z itself
     return KINDS[spec.kind].head(z, batch.targets)[:2]
 
 
@@ -325,7 +324,6 @@ def per_sample_gradients(
         spans[name] = slice(width, width + span.stop - span.start)
         width = spans[name].stop
     n = batch.size
-    work = {} if work is None else work
     cols = work_buffer(work, "grads", (width, n))  # the transposed result, one row per parameter
     for layer, a, dz in _backprop(spec, params, batch, spans, work=work):
         if layer.weight in spans:
@@ -416,9 +414,7 @@ def pretrain(
     params = init_params(spec, seed)
     work: dict = {}  # one workspace for every epoch, dropped on return
     for epoch in range(epochs):
-        grad = mean_gradient(spec, params, data, work=work)
-        values = params.values - lr * grad
-        if not np.all(np.isfinite(values)):
+        params.values -= lr * mean_gradient(spec, params, data, work=work)
+        if not np.all(np.isfinite(params.values)):
             raise NumericError(f"pretraining diverged at epoch {epoch}")
-        params = ParameterVector(values, params.layout)
     return params

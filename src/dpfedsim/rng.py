@@ -51,14 +51,17 @@ def generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def work_buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
+def work_buffer(work: dict | None, key, shape: tuple[int, ...]) -> np.ndarray:
     """The float64 buffer ``work[key]``, a C-order view of ``shape`` onto the
     front of one flat allocation per key.
 
     A workspace is a caller-owned dict of buffers.  The same array comes back
     while the shape is unchanged; another shape gets a new view, and the
     allocation grows only when the shape needs more values than it holds.
+    With no workspace (None) every call gets a fresh array.
     """
+    if work is None:
+        return np.empty(shape)
     buf = work.get(key)
     if buf is None or buf.shape != shape:
         size = math.prod(shape)
@@ -85,7 +88,6 @@ def box_muller(gen: np.random.Generator, n: int, work: dict | None = None) -> np
     """
     if n == 0:
         return np.zeros(0)
-    work = {} if work is None else work
     pairs = (n + 1) // 2
     r, theta = gen.random(out=work_buffer(work, "uniforms", (2, pairs)))
     # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in place

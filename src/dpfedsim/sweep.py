@@ -88,8 +88,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
         cell_name = f"{resolved.name}-c{clients}-r{rounds}"
         if several_eps:
             cell_name += f"-e{epsilon!r}"
-        accuracies: dict[str, float] = {}
-        status = "ok"
+        row = SweepRow(clients, rounds, epsilon, {})
         for variant_no, (label, mask, agg) in enumerate(_VARIANTS):
             cell_seed = derive_seed(
                 resolved.experiment.seeds.global_seed, STREAM_SWEEP, cell_no, variant_no
@@ -108,15 +107,15 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
                 cell = with_overrides(resolved, overrides)
                 result = run_experiment(cell.experiment, train, test)
                 cell.write_run(result, out / "cells" / str(cell.name))
-                if result.error:
-                    status = f"error: {result.error}"
-                    accuracies[label] = float("nan")
-                else:
-                    accuracies[label] = result.records[-1].global_accuracy if result.records else 0.0
+                error = result.error
             except DpFedSimError as exc:
-                status = f"error: {exc}"
-                accuracies[label] = float("nan")
-        rows.append(SweepRow(clients, rounds, epsilon, accuracies, status))
+                error = str(exc)
+            if error is None:
+                row.accuracies[label] = result.records[-1].global_accuracy if result.records else 0.0
+            else:
+                row.status = f"error: {error}"
+                row.accuracies[label] = float("nan")
+        rows.append(row)
     labels = [label for label, _, _ in _VARIANTS]
     with open(out / SWEEP_FILE, "w", newline="") as fh:
         # quotes only a field holding a comma, quote or newline: an error status

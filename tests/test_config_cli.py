@@ -411,3 +411,23 @@ def test_cli_sweep(tmp_path, capsys):
     assert printed.count("clients=2") == 2
     sweep_dir = next(out.iterdir())
     assert (sweep_dir / "sweep.csv").is_file()
+
+
+def test_runs_started_in_the_same_second_get_their_own_directories(tmp_path, capsys, monkeypatch):
+    from datetime import datetime
+
+    from dpfedsim import cli
+
+    class SameSecond:
+        @staticmethod
+        def now():
+            return datetime(2026, 1, 2, 3, 4, 5)
+
+    monkeypatch.setattr(cli, "datetime", SameSecond)
+    cfg = write_cfg(tmp_path, base=dict(MINIMAL, rounds="1"), extra=["dataset.samples = 60"])
+    out = tmp_path / "out"
+    for _ in range(3):
+        assert run_cli(["federated", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    base = "run-20260102-030405-seed0"
+    assert sorted(p.name for p in out.iterdir()) == [base, f"{base}-1", f"{base}-2"]

@@ -1,8 +1,11 @@
 """Every config key reaches the field it sets, the derived defaults follow
 their rules, and one renderer writes the dump and the metrics files."""
 
+import dataclasses
+
 import pytest
 
+from dpfedsim import CommModel, DpConfig, ExperimentConfig, ModelSpec, SyntheticDatasetSpec
 from dpfedsim import config, resolve_raw
 from dpfedsim.aggregation import AggregationOp
 from dpfedsim.comm import render_value
@@ -161,3 +164,47 @@ def test_seed_argument_rederives_the_seed_family(monkeypatch):
 )
 def test_one_renderer_for_dumps_and_metrics(value, text):
     assert render_value(value) == text
+
+
+def test_a_key_left_unset_takes_its_field_default(monkeypatch):
+    # a configuration of the required keys only builds, for every key with a
+    # constant default whose field has a plain default, the value that field
+    # takes in an object built in code from its required arguments
+    raw = {"model.kind": "logistic", "model.input_dim": "2", "model.output_dim": "2"}
+    experiment, spec = _built(dict(raw, clients="2", rounds="2"), monkeypatch)
+    dp = experiment.dp
+    in_code = ExperimentConfig(
+        model=ModelSpec("logistic", 2, 2),
+        clients=2,
+        rounds=2,
+        local_epochs=experiment.local_epochs,
+        batch_size=experiment.batch_size,
+        dp=DpConfig(dp.clip_norm, dp.noise_multiplier, dp.learning_rate),
+    )
+    objects = {  # field group -> (built from the config, built in code)
+        "": (experiment, in_code),
+        "model": (experiment.model, in_code.model),
+        "dp": (dp, in_code.dp),
+        "seeds": (experiment.seeds, in_code.seeds),
+        "comm": (experiment.comm, CommModel(experiment.comm.bandwidth_mbps, experiment.comm.full_model_bytes)),
+        "dataset": (spec, SyntheticDatasetSpec(spec.generator, spec.classes, spec.samples, spec.input_dim)),
+    }
+    checked = []
+    for key, (_, default, field_path) in SCHEMA.items():
+        if field_path is None or default is config._REQUIRED or callable(default):
+            continue
+        group, _, name = field_path.rpartition(".")
+        built, coded = objects[group]
+        field = {f.name: f for f in dataclasses.fields(built)}[name]
+        if field.default is dataclasses.MISSING:
+            continue
+        assert getattr(built, name) == getattr(coded, name), key
+        assert type(getattr(built, name)) is type(getattr(coded, name)), key
+        checked.append(key)
+    assert {
+        "model.hidden_dim", "model.activation", "participation_fraction", "aggregation",
+        "partition", "dirichlet_alpha", "sampler", "dp.optimizer", "dp.adam_beta1",
+        "dp.adam_beta2", "dp.adam_eps", "privacy.delta", "seeds.global", "pretrain.epochs",
+        "pretrain.lr", "pretrain.public_fraction", "dataset.noise_std", "comm.overhead_bytes",
+        "comm.masked_broadcast", "comm.seconds_per_coord", "comm.encoding",
+    } <= set(checked)

@@ -34,6 +34,15 @@ def test_blobs_low_noise_classes_are_separated():
     assert np.linalg.norm(mean0 - mean1) > 3.0
 
 
+def test_blobs_in_one_dimension_sit_three_apart():
+    spec = SyntheticDatasetSpec("gaussian-blobs", classes=3, samples=30, input_dim=1, seed=3)
+    data = make_dataset(spec)
+    assert data.inputs.shape == (30, 1)
+    # class c is centred on 3c, six noise deviations from its neighbours
+    assert np.array_equal(np.rint(data.inputs[:, 0] / 3.0), data.targets)
+    assert _digest(data) == "c0aaee7943cba1b7"
+
+
 def test_two_spirals_constraints():
     with pytest.raises(ShapeError):
         SyntheticDatasetSpec("two-spirals", classes=3, samples=30, input_dim=2)

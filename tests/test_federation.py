@@ -34,6 +34,7 @@ from dpfedsim import dpsgd, federation, models
 from dpfedsim.comm import render_rounds_table
 from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
+from dpfedsim.rng import STREAM_NOISE, derive_seed
 
 DATA_DIR = Path(__file__).parent / "data"
 RNG = np.random.default_rng
@@ -619,3 +620,28 @@ def test_pretrained_start_is_used():
     mask = make_mask(w0.layout, ["head.weight", "head.bias"])
     frozen = ~mask.coordinate_mask
     assert np.array_equal(result.final_params.values[frozen], w0.values[frozen])
+
+
+def test_run_local_skips_an_empty_poisson_batch():
+    # batch size 1 on 12 rows: a batch is empty with probability (11/12)^12,
+    # about a third; each step's noise is keyed by its own batch number
+    data = blob_data(12, seed=4)
+    (shard,) = partition_data(data, 1, "iid", seed=0)
+    w = init_params(MLP, 4)
+    mask = make_mask(w.layout, ["head.weight", "head.bias"])
+    cfg = DpConfig(1.0, 0.7, 0.1)
+    plan = SamplerPlan("poisson", 1, shard.n_k, shard.rng_seed)
+    update = run_local(MLP, shard, w, mask, cfg, plan, 2, round_index=3)
+    v, steps, empty = w, 0, 0
+    for epoch in (1, 2):
+        for batch_no, idx in enumerate(dpsgd.epoch_batches(dpsgd.plan_for_epoch(plan, 3, epoch))):
+            if idx.size == 0:
+                empty += 1
+                continue
+            seed = derive_seed(shard.rng_seed, STREAM_NOISE, 3, epoch, batch_no)
+            grads = per_sample_gradients(MLP, v, shard.data.take(idx), mask.selected_layers)
+            steps += 1
+            v = dpsgd.dp_step(v, mask, noisy_mean(clip_per_sample(grads, 1.0), 0.7, 1.0, seed), cfg, steps)
+    assert 0 < empty < 24
+    assert update.tau == steps == 24 - empty
+    assert update.deltas.tobytes() == (v.values[mask.indices] - w.values[mask.indices]).tobytes()

@@ -5,7 +5,8 @@ import hashlib
 
 import pytest
 
-from dpfedsim import config, resolve_raw, sigma_for_target
+from dpfedsim import ExperimentResult, NumericError, config, init_params, resolve_raw, sigma_for_target
+from dpfedsim import sweep
 from dpfedsim.cli import EXIT_CONFIG, main
 from dpfedsim.comm import read_summary
 from dpfedsim.federation import Seeds
@@ -178,3 +179,21 @@ def test_a_status_holding_commas_stays_one_csv_field(tmp_path):
     assert [len(fields) for fields in table] == [8, 8, 8]
     assert [fields[-1] for fields in table] == ["status"] + [row.status for row in rows]
     assert table[1][:7] == ["2", "1", "0.0", "nan", "nan", "nan", "nan"]
+
+
+def test_a_failed_variant_writes_one_row_whether_its_run_returns_or_raises(tmp_path, monkeypatch):
+    def returning(cfg, train, test):
+        return ExperimentResult([], init_params(cfg.model, 0), cfg.dp.noise_multiplier, "round 0: boom")
+
+    def raising(cfg, train, test):
+        raise NumericError("round 0: boom")
+
+    resolved = resolve_raw(MINIMAL)
+    tables = []
+    for name, run in (("returned", returning), ("raised", raising)):
+        monkeypatch.setattr(sweep, "run_experiment", run)
+        rows = run_sweep(resolved, tmp_path / name)
+        assert [row.status for row in rows] == ["error: round 0: boom"]
+        tables.append((tmp_path / name / "sweep.csv").read_text())
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[1] == "2,1,0.0,nan,nan,nan,nan,error: round 0: boom"
