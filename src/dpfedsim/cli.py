@@ -147,6 +147,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         accs = " ".join(f"{k}={v:.4f}" for k, v in row.accuracies.items())
         print(f"clients={row.clients} rounds={row.rounds} eps={row.epsilon} {accs} [{row.status}]")
+    failed = sum(row.failed for row in rows)
+    if failed:
+        variants = sum(len(row.accuracies) for row in rows)
+        print(f"failed variants: {failed} of {variants}", file=sys.stderr)
+        if failed == variants:  # nothing ran: a runtime failure, as a failed run is
+            return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -62,8 +62,8 @@ SCHEMA: dict[str, tuple[str, object, str | None]] = {
     "privacy.delta": ("float", ExperimentConfig.delta, "delta"),
     "privacy.target_epsilon": ("float", 0.0, "target_epsilon"),  # 0 means "not set"
     "seeds.global": ("int", Seeds.global_seed, "seeds.global_seed"),
-    "seeds.data": ("int", lambda v: v["seeds.global"] + 1, "seeds.data_seed"),
-    "seeds.noise": ("int", lambda v: v["seeds.global"] + 2, "seeds.noise_seed"),
+    "seeds.data": ("int", lambda v: Seeds(v["seeds.global"]).data_seed, "seeds.data_seed"),
+    "seeds.noise": ("int", lambda v: Seeds(v["seeds.global"]).noise_seed, "seeds.noise_seed"),
     "pretrain.epochs": ("int", ExperimentConfig.pretrain_epochs, "pretrain_epochs"),
     "pretrain.lr": ("float", ExperimentConfig.pretrain_lr, "pretrain_lr"),
     "pretrain.public_fraction": ("float", ExperimentConfig.public_fraction, "public_fraction"),

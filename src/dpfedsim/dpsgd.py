@@ -8,12 +8,11 @@ once to the already-averaged clipped sum.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lane
 from .errors import NumericError, ShapeError
 from .masking import PartitionMask
 from .models import ModelSpec, ParameterVector, SampleBatch, per_sample_gradients
@@ -27,102 +26,6 @@ SAMPLER_MODES = ("shuffle", "poisson")
 # untouched, which keeps clipping exactly idempotent despite the rounding in
 # the recomputed norm of an already-clipped row.
 _CLIP_SLACK = 1e-12
-
-# The helper lane: one daemon thread, started on first use, that runs the
-# parts of a wide private step whose bits cannot depend on where they run
-# (README, Helper lane).  With one CPU everything runs inline; work narrower
-# than _LANE_MIN_WIDTH columns always does, as the hand-off costs more there.
-try:
-    _LANES = min(2, len(os.sched_getaffinity(0)))
-except AttributeError:  # no sched_getaffinity on this platform
-    _LANES = min(2, os.cpu_count() or 1)
-_LANE_MIN_WIDTH = 4096
-_lane_jobs = None  # the lane's queue.SimpleQueue once it has started
-_lane_start = threading.Lock()
-
-
-class _Job:
-    """fn(*args) handed to the lane.  ``result`` returns its value or re-raises
-    its error, once; if the lane has not started the job by then, the caller
-    runs it itself rather than wait for a thread that may have no CPU.  The
-    job lets go of its arguments once it has run and of its outcome once
-    handed over, so the lane keeps no buffer alive."""
-
-    def __init__(self, fn, args: tuple) -> None:
-        self.call, self.outcome = (fn, args), None
-        self.claim, self.done = threading.Lock(), threading.Event()
-
-    def run(self) -> None:
-        if not self.claim.acquire(blocking=False):
-            return  # already taken, by the lane or by its caller
-        fn, args = self.call
-        self.call = None
-        try:
-            self.outcome = (fn(*args), None)
-        except BaseException as exc:
-            self.outcome = (None, exc)
-        del fn, args
-        self.done.set()
-
-    def result(self):
-        self.run()
-        self.done.wait()
-        (value, error), self.outcome = self.outcome, None
-        if error is not None:
-            raise error
-        return value
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get().run()
-
-
-def _on_lane(fn, *args) -> _Job:
-    """Queue fn(*args) on the helper lane, starting the lane on first use."""
-    global _lane_jobs
-    with _lane_start:
-        if _lane_jobs is None:
-            from queue import SimpleQueue  # imported here: a narrow run never needs it
-
-            _lane_jobs = SimpleQueue()
-            lane = threading.Thread(target=_serve, args=(_lane_jobs,), daemon=True)
-            lane.name = "dpfedsim-lane"
-            lane.start()
-        jobs = _lane_jobs
-    job = _Job(fn, args)
-    jobs.put(job)
-    return job
-
-
-def _forget_lane() -> None:
-    # a forked child inherits the lane's queue but not its thread
-    global _lane_jobs, _lane_start
-    _lane_jobs, _lane_start = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane)
-
-
-def _uses_lane(width: int) -> bool:
-    """Whether work this many columns wide is shared with the lane."""
-    return width >= _LANE_MIN_WIDTH and _LANES > 1
-
-
-def _by_columns(task, width: int) -> None:
-    """Run ``task(cols)`` over every column: wide work as two halves, the
-    first on the lane.  Only for elementwise work or per-column reductions,
-    where each half gives the bytes of the whole."""
-    if not _uses_lane(width):
-        task(slice(0, width))
-        return
-    job = _on_lane(task, slice(0, width // 2))
-    try:
-        task(slice(width // 2, width))
-    finally:
-        job.result()
-
 
 @dataclass(frozen=True)
 class DpConfig:
@@ -236,7 +139,7 @@ def clip_per_sample(grads: np.ndarray, clip_norm: float, work=None) -> np.ndarra
         else:
             np.multiply(grads[:, cols], scale[:, None], out=out[:, cols])
 
-    _by_columns(scale_columns, grads.shape[1])
+    lane.in_halves(scale_columns, grads.shape[1])
     for i in unsafe:  # ||g|| = m * ||g / m|| with m = max |g|, free of overflow
         m = np.abs(grads[i]).max()
         unit = grads[i] / m
@@ -281,7 +184,7 @@ def noisy_mean(
         if noise is not None:
             np.add(mean[cols], np.multiply(noise[cols], std, out=noise[cols]), out=mean[cols])
 
-    _by_columns(mean_columns, width)
+    lane.in_halves(mean_columns, width)
     return mean
 
 
@@ -301,14 +204,15 @@ def private_step(
     included, lives in the caller's workspace ``work`` (see rng.work_buffer).
     The result is one of its buffers, overwritten by the next step given the
     same workspace.  On a wide mask the noise is drawn on the helper lane
-    while the gradients are formed; the draw's keys are not the walk's.
+    while the clip takes its row norms, once the gradients are formed; the
+    draw's keys are not the clip's.
     """
     width = mask.trainable_count
+    grads = per_sample_gradients(spec, params, batch, mask.selected_layers, work=work)
     draw = None
-    if dp.noise_multiplier != 0.0 and _uses_lane(width):
-        draw = _on_lane(box_muller, generator(noise_seed), width, work)
+    if dp.noise_multiplier != 0.0 and lane.uses_lane(width):
+        draw = lane.on_lane(box_muller, generator(noise_seed), width, work)
     try:
-        grads = per_sample_gradients(spec, params, batch, mask.selected_layers, work=work)
         clipped = clip_per_sample(grads, dp.clip_norm, work=work)
     finally:
         normals = None if draw is None else draw.result()

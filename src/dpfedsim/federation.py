@@ -61,9 +61,17 @@ PARTITION_SCHEMES = ("iid", "dirichlet")
 
 @dataclass(frozen=True)
 class Seeds:
+    """A run's three seed roots; data and noise default to global + 1 and + 2."""
+
     global_seed: int = 0
-    data_seed: int = 1
-    noise_seed: int = 2
+    data_seed: int | None = None
+    noise_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.data_seed is None:
+            object.__setattr__(self, "data_seed", self.global_seed + 1)
+        if self.noise_seed is None:
+            object.__setattr__(self, "noise_seed", self.global_seed + 2)
 
 
 @dataclass

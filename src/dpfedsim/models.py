@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import lane
 from .errors import NumericError, ShapeError
 from .rng import STREAM_INIT, derive_seed, generator, work_buffer
 
@@ -316,7 +317,9 @@ def per_sample_gradients(
     and batch means in that order, so the layout is part of a run's bits.
     The matrix (``work["grads"]``, transposed) and the walk live in the
     workspace ``work`` (fresh by default; see rng.work_buffer), so the result
-    is overwritten by the next call given the same workspace.
+    is overwritten by the next call given the same workspace.  A weight block
+    wide enough for the helper lane is formed in two halves of its output
+    units, the first on the lane (see lane.in_halves).
     """
     _check_inputs(spec, params, batch)
     spans, width = layer_spans(params.layout, layers), 0
@@ -330,7 +333,14 @@ def per_sample_gradients(
             block = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
             # transposed operands keep einsum's inner loop on contiguous memory;
             # einsum, not np.multiply, so exact zeros keep their +0.0 sign
-            np.einsum("on,in->oin", np.ascontiguousarray(dz.T), np.ascontiguousarray(a.T), out=block)
+            dz_t, a_t = np.ascontiguousarray(dz.T), np.ascontiguousarray(a.T)
+
+            def expand(units):
+                # each entry is one product, so a part of the output units
+                # writes the bytes it writes in the whole block
+                np.einsum("on,in->oin", dz_t[units], a_t, out=block[units])
+
+            lane.in_halves(expand, layer.fan_out, layer.fan_out * layer.fan_in)
         if layer.bias in spans:
             cols[spans[layer.bias]] = dz.T
     return cols.T

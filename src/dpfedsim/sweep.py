@@ -41,6 +41,7 @@ class SweepRow:
     epsilon: float
     accuracies: dict[str, float]
     status: str = "ok"
+    failed: int = 0  # variants of the cell that did not run
 
 
 def _head_layers(resolved: ResolvedConfig) -> str:
@@ -115,6 +116,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
             else:
                 row.status = f"error: {error}"
                 row.accuracies[label] = float("nan")
+                row.failed += 1
         rows.append(row)
     labels = [label for label, _, _ in _VARIANTS]
     with open(out / SWEEP_FILE, "w", newline="") as fh:

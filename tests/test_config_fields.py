@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from dpfedsim import CommModel, DpConfig, ExperimentConfig, ModelSpec, SyntheticDatasetSpec
+from dpfedsim import CommModel, DpConfig, ExperimentConfig, ModelSpec, Seeds, SyntheticDatasetSpec
 from dpfedsim import config, resolve_raw
 from dpfedsim.aggregation import AggregationOp
 from dpfedsim.comm import render_value
@@ -201,10 +201,17 @@ def test_a_key_left_unset_takes_its_field_default(monkeypatch):
         assert getattr(built, name) == getattr(coded, name), key
         assert type(getattr(built, name)) is type(getattr(coded, name)), key
         checked.append(key)
+    # the seed rule rows read Seeds' own rule, at the default global seed and another
+    for global_seed in (0, 5):
+        raw_seeds = dict(raw, clients="2", rounds="2", **{"seeds.global": str(global_seed)})
+        assert _built(raw_seeds, monkeypatch)[0].seeds == Seeds(global_seed)
+    assert experiment.seeds == Seeds(0, 1, 2)
+    checked += ["seeds.data", "seeds.noise"]
     assert {
         "model.hidden_dim", "model.activation", "participation_fraction", "aggregation",
         "partition", "dirichlet_alpha", "sampler", "dp.optimizer", "dp.adam_beta1",
         "dp.adam_beta2", "dp.adam_eps", "privacy.delta", "seeds.global", "pretrain.epochs",
         "pretrain.lr", "pretrain.public_fraction", "dataset.noise_std", "comm.overhead_bytes",
         "comm.masked_broadcast", "comm.seconds_per_coord", "comm.encoding",
+        "seeds.data", "seeds.noise",
     } <= set(checked)

@@ -1,6 +1,7 @@
 """The private step's helper lane: the bytes it gives, its errors, the
 buffers it lets go of, and a forked child that steps on."""
 
+import dataclasses
 import os
 import signal
 import sys
@@ -21,10 +22,11 @@ from dpfedsim import (
     make_mask,
     noisy_mean,
     partition_data,
+    per_sample_gradients,
     private_step,
     run_local,
 )
-from dpfedsim import dpsgd, federation
+from dpfedsim import federation, lane
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset
 
 RNG = np.random.default_rng
@@ -45,14 +47,14 @@ def lane_on(monkeypatch):
     """Two lanes, whatever this host's affinity; the names of the functions
     handed over are listed (not the functions: a closure holds buffers)."""
     jobs = []
-    hand_over = dpsgd._on_lane
+    hand_over = lane.on_lane
 
     def counting(fn, *args):
         jobs.append(fn.__name__)
         return hand_over(fn, *args)
 
-    monkeypatch.setattr(dpsgd, "_LANES", 2)
-    monkeypatch.setattr(dpsgd, "_on_lane", counting)
+    monkeypatch.setattr(lane, "_LANES", 2)
+    monkeypatch.setattr(lane, "on_lane", counting)
     return jobs
 
 
@@ -84,14 +86,19 @@ def test_the_lane_changes_no_byte_of_a_local_run(spec, mask_name, sampler, lane_
             on = _local_update(spec, mask_name, sampler, optimizer, sigma)
             handed = len(lane_on)
             with monkeypatch.context() as off:
-                off.setattr(dpsgd, "_LANES", 1)
+                off.setattr(lane, "_LANES", 1)
                 assert _local_update(spec, mask_name, sampler, optimizer, sigma) == on
             assert len(lane_on) == handed  # nothing went to the lane with it off
             width = on[0]
             # a wide step hands over the clip's and the mean's first halves,
-            # and the noise draw when there is noise; a narrow one nothing
-            per_step = 3 if sigma else 2
-            assert handed == (per_step * on[1] if width >= dpsgd._LANE_MIN_WIDTH else 0)
+            # the noise draw when there is noise, and the expansion's first
+            # half when its hidden weight block is wide; a narrow one nothing
+            wide_block = (
+                "hidden.weight" in MASKS[mask_name]
+                and spec.hidden_dim * spec.input_dim >= lane._LANE_MIN_WIDTH
+            )
+            per_step = (3 if sigma else 2) + wide_block
+            assert handed == (per_step * on[1] if width >= lane._LANE_MIN_WIDTH else 0)
 
 
 @pytest.mark.parametrize("width", [4095, 4096, 4097, 9001])
@@ -107,11 +114,38 @@ def test_clip_and_mean_halves_give_the_bytes_of_the_whole(
     grads = np.asarray(rows, order=order)
     clipped = clip_per_sample(grads, 1.5)
     means = [noisy_mean(clipped, sigma, 1.5, 77) for sigma in (0.0, 0.8)]
-    assert len(lane_on) == (3 if width >= dpsgd._LANE_MIN_WIDTH else 0)
-    monkeypatch.setattr(dpsgd, "_LANES", 1)
+    assert len(lane_on) == (3 if width >= lane._LANE_MIN_WIDTH else 0)
+    monkeypatch.setattr(lane, "_LANES", 1)
     assert clip_per_sample(grads, 1.5).tobytes() == clipped.tobytes()
     for sigma, mean in zip((0.0, 0.8), means):
         assert noisy_mean(clipped, sigma, 1.5, 77).tobytes() == mean.tobytes()
+
+
+# weight blocks just under, at and over the lane's cut-off (fan_out 63, 64
+# and 17), and single-unit heads over 4 096 and more inputs: no halves to split
+EXPANDED = {
+    "under": ModelSpec("mlp", input_dim=65, output_dim=3, hidden_dim=63),
+    "at": ModelSpec("mlp", input_dim=64, output_dim=3, hidden_dim=64),
+    "over": ModelSpec("mlp", input_dim=241, output_dim=3, hidden_dim=17),
+    "linear": ModelSpec("linear", input_dim=4096, output_dim=1),
+    "logistic": ModelSpec("logistic", input_dim=4101, output_dim=2),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 33, 70])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_expansion_halves_give_the_bytes_of_the_whole(name, activation, rows, lane_on, monkeypatch):
+    spec = dataclasses.replace(EXPANDED[name], activation=activation)
+    rng = RNG(rows)
+    w = init_params(spec, 1)
+    w.values[:] = rng.normal(size=w.dim)  # a spread of signs, zeros after relu
+    batch = SampleBatch(rng.normal(size=(rows, spec.input_dim)), rng.integers(0, 2, size=rows))
+    on = per_sample_gradients(spec, w, batch)
+    split = spec.hidden_dim * spec.input_dim >= lane._LANE_MIN_WIDTH
+    assert lane_on == (["expand"] if split else [])
+    monkeypatch.setattr(lane, "_LANES", 1)
+    assert per_sample_gradients(spec, w, batch).tobytes() == on.tobytes()
 
 
 def _wide_step_inputs(nan_sample=None):
@@ -128,7 +162,8 @@ def test_a_nan_gradient_names_its_sample_with_the_lane_on(lane_on):
     w, batch, mask, dp = _wide_step_inputs(nan_sample=6)
     with pytest.raises(NumericError, match="sample 6"):
         private_step(WIDE, w, batch, mask, dp, 11, {})
-    assert lane_on == ["box_muller"]  # the draw ran beside the failing clip
+    # the expansion's half, then the draw, which ran beside the failing clip
+    assert lane_on == ["expand", "box_muller"]
     # and the lane serves the next step
     w, batch, mask, dp = _wide_step_inputs()
     assert np.isfinite(private_step(WIDE, w, batch, mask, dp, 11, {})).all()
@@ -138,16 +173,16 @@ def test_an_error_on_the_lane_is_raised_in_its_caller(lane_on):
     def failing():
         raise ValueError("raised on the lane")
 
-    job = dpsgd._on_lane(failing)
+    job = lane.on_lane(failing)
     with pytest.raises(ValueError, match="raised on the lane"):
         job.result()
-    assert dpsgd._on_lane(int, "7").result() == 7
+    assert lane.on_lane(int, "7").result() == 7
 
 
 def test_a_job_the_lane_has_not_started_runs_in_its_caller(lane_on):
     release = threading.Event()
-    busy = dpsgd._on_lane(release.wait, 60)  # holds the lane
-    queued = dpsgd._on_lane(threading.current_thread)
+    busy = lane.on_lane(release.wait, 60)  # holds the lane
+    queued = lane.on_lane(threading.current_thread)
     try:
         assert queued.result() is threading.current_thread()
     finally:
@@ -155,7 +190,7 @@ def test_a_job_the_lane_has_not_started_runs_in_its_caller(lane_on):
     assert busy.result() is True
     # the lane skips the job it finds taken and serves the next one
     served = threading.Event()
-    job = dpsgd._on_lane(served.set)
+    job = lane.on_lane(served.set)
     assert served.wait(timeout=60)
     job.result()
 
@@ -211,7 +246,7 @@ def test_steps_from_several_threads_share_one_lane(lane_on):
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
 def test_the_lane_count_follows_the_cpus_this_process_may_use():
-    assert dpsgd._LANES == min(2, len(os.sched_getaffinity(0)))
+    assert lane._LANES == min(2, len(os.sched_getaffinity(0)))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")

@@ -7,7 +7,7 @@ import pytest
 
 from dpfedsim import ExperimentResult, NumericError, config, init_params, resolve_raw, sigma_for_target
 from dpfedsim import sweep
-from dpfedsim.cli import EXIT_CONFIG, main
+from dpfedsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.comm import read_summary
 from dpfedsim.federation import Seeds
 from dpfedsim.sweep import render_report, run_sweep, with_overrides
@@ -197,3 +197,29 @@ def test_a_failed_variant_writes_one_row_whether_its_run_returns_or_raises(tmp_p
         tables.append((tmp_path / name / "sweep.csv").read_text())
     assert tables[0] == tables[1]
     assert tables[0].splitlines()[1] == "2,1,0.0,nan,nan,nan,nan,error: round 0: boom"
+
+
+@pytest.mark.parametrize("failing", [4, 2])
+def test_a_sweep_where_no_variant_ran_exits_3(tmp_path, capsys, monkeypatch, failing):
+    # every variant raising writes sweep.csv and exits 3; a sweep where some
+    # variants ran exits 0, and both print how many variants failed
+    calls = []
+    real = sweep.run_experiment
+
+    def sometimes_raising(cfg, train, test):
+        calls.append(cfg.mask_layers)
+        if failing == 4 or len(calls) % 2 == 0:  # all, or the two selective variants
+            raise NumericError("round 0: boom")
+        return real(cfg, train, test)
+
+    monkeypatch.setattr(sweep, "run_experiment", sometimes_raising)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in MINIMAL.items()))
+    out = tmp_path / "sweepout"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert len(calls) == 4
+    assert code == (EXIT_RUNTIME if failing == 4 else EXIT_OK)
+    assert f"failed variants: {failing} of 4" in capsys.readouterr().err
+    (table,) = out.glob("*/sweep.csv")
+    (row,) = table.read_text().splitlines()[1:]
+    assert row.count("nan") == failing and row.endswith("error: round 0: boom")

@@ -15,7 +15,7 @@ from dpfedsim import (
     make_mask,
     private_step,
 )
-from dpfedsim import dpsgd
+from dpfedsim import lane
 from dpfedsim.rng import work_buffer
 
 RNG = np.random.default_rng
@@ -44,7 +44,7 @@ def _steps(spec, sizes, work=None):
 @pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_one_workspace_gives_the_bytes_of_a_fresh_one_per_step(name, lanes, monkeypatch):
-    monkeypatch.setattr(dpsgd, "_LANES", lanes)
+    monkeypatch.setattr(lane, "_LANES", lanes)
     sizes = (8, 8, 3, 11, 1, 11, 5)
     fresh = [grad.tobytes() for grad in _steps(SPECS[name], sizes)]
     work = {}
