@@ -10,6 +10,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -147,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         accs = " ".join(f"{k}={v:.4f}" for k, v in row.accuracies.items())
         print(f"clients={row.clients} rounds={row.rounds} eps={row.epsilon} {accs} [{row.status}]")
-    failed = sum(row.failed for row in rows)
+    failed = sum(math.isnan(acc) for row in rows for acc in row.accuracies.values())
     if failed:
         variants = sum(len(row.accuracies) for row in rows)
         print(f"failed variants: {failed} of {variants}", file=sys.stderr)

@@ -1,9 +1,9 @@
-"""Communication cost model, runtime model, and the metrics sink.
+"""Communication cost model and the metrics sink.
 
 Traffic per client per round is the trainable fraction of the full-model
-upload cost, C = (d_t / d) * B_f, and delay is pure bandwidth division;
-both are closed-form, so totals and speedups are exact.  The per-round table
-and summary formats written here are fixed and documented in the README.
+upload cost, C = (d_t / d) * B_f, and delay is pure bandwidth division; both
+are closed-form, so totals are exact.  A round's modeled compute and wall_s
+are summed in federation.run_experiment; the file formats are in the README.
 """
 
 from __future__ import annotations

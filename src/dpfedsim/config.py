@@ -5,11 +5,11 @@ Unknown keys are rejected rather than ignored, in files and in --set
 overrides alike.  parse_config resolves a file plus overrides into a
 fully-populated value table and an ExperimentConfig.  This module only maps
 keys onto the dataclasses, which check their own rules; it checks the
-dataset source itself, and whatever it rejects is raised as a ConfigError.
-Resolution loads no data: load_dataset builds the (train, test) split, and a
-run with privacy.target_epsilon solves its noise multiplier from its own
-client shards.  The dump format is versioned and round-trips to an
-identical configuration.
+dataset source, and load_dataset that the model takes the data; what either
+rejects is raised as a ConfigError.  Resolution loads no data: load_dataset
+builds the (train, test) split, and a run with privacy.target_epsilon solves
+its noise multiplier from its own client shards.  The dump format is
+versioned and round-trips to an identical configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_trai
 from .dpsgd import DpConfig
 from .errors import ConfigError, DomainError, ShapeError
 from .federation import ExperimentConfig, ExperimentResult, Seeds
-from .models import ModelSpec, SampleBatch
+from .models import ModelSpec, SampleBatch, check_batch
 
 DUMP_VERSION = "# dpfedsim resolved config v1"
 RESOLVED_FILE = "resolved_config.txt"
@@ -250,17 +250,19 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
     dp = DpConfig(**groups["dp"])
     top["target_epsilon"] = top["target_epsilon"] or None
     top["aggregation"] = AggregationOp(top["aggregation"])
-    cfg = ExperimentConfig(model=model, dp=dp, seeds=Seeds(**groups["seeds"]), comm=comm, **top)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(model=model, dp=dp, seeds=Seeds(**groups["seeds"]), comm=comm, **top)
 
 
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
-    """(train, test) splits of a configuration."""
+    """(train, test) splits of a configuration, whose model must take the data."""
     values = resolved.values
     dataset = _fields(values)["dataset"]
     if values["dataset.source"] == "synthetic":
         full = make_dataset(SyntheticDatasetSpec(**dataset))
     else:
         full = load_delimited(values["dataset.path"])
+    try:
+        check_batch(resolved.experiment.model, full)
+    except ShapeError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     return split_train_test(full, values["dataset.test_fraction"], dataset["seed"])

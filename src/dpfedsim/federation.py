@@ -109,7 +109,7 @@ class ExperimentConfig:
     seconds_per_coord: float = 1e-9
     encoding: str = DEFAULT_ENCODING
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.clients < 1:
             raise ConfigError("clients must be >= 1")
         if self.rounds < 0:
@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("delta must lie in (0, 1)")
         if self.target_epsilon is not None and not 0 < self.target_epsilon < math.inf:
             raise ConfigError("target_epsilon must be > 0 and finite when set")
+        if self.target_epsilon is not None and self.rounds == 0:
+            raise ConfigError("target_epsilon needs rounds >= 1: zero rounds spend no budget")
         if self.partition not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {self.partition!r}")
         if self.sampler_mode not in SAMPLER_MODES:
@@ -365,7 +367,6 @@ def run_experiment(
     its own client shards.  On numeric divergence the run stops and returns
     the partial record list with the error message attached.
     """
-    cfg.validate()
     public, shards = client_shards(cfg, train_data)
     if cfg.target_epsilon is not None:
         cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma_for_shards(cfg, shards)))

@@ -195,6 +195,12 @@ def _check_inputs(spec: ModelSpec, params: ParameterVector, batch: SampleBatch) 
         raise ShapeError(
             f"layout has {len(params.layout)} layers, model expects {len(expected)}"
         )
+    check_batch(spec, batch)
+
+
+def check_batch(spec: ModelSpec, batch: SampleBatch) -> None:
+    """Raise ShapeError unless the model takes the batch: its input width and,
+    for a classifier, integer class indices in [0, output_dim)."""
     if batch.inputs.shape[1] != spec.input_dim:
         raise ShapeError(
             f"inputs have {batch.inputs.shape[1]} features, model expects {spec.input_dim}"

@@ -86,8 +86,6 @@ def box_muller(gen: np.random.Generator, n: int, work: dict | None = None) -> np
     workspace gives the bytes of a fresh one, and its result is overwritten
     by the next draw into it.
     """
-    if n == 0:
-        return np.zeros(0)
     pairs = (n + 1) // 2
     r, theta = gen.random(out=work_buffer(work, "uniforms", (2, pairs)))
     # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in place

@@ -6,8 +6,8 @@ seeds.global, with its own derived seed, which draws client selection,
 initialisation and pretraining.  Every cell keeps the base configuration's
 resolved seeds.data, seeds.noise and dataset.seed, so all cells train on the
 same dataset, public split and partition, with the same batch shuffles and
-DP noise; the dataset is loaded once per sweep.  A cell that fails is
-recorded as an error row and the sweep continues.
+DP noise; the dataset is loaded once per sweep.  A refused grid value stops
+the sweep before it starts; a cell that fails at run time is an error row.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ class SweepRow:
     clients: int
     rounds: int
     epsilon: float
-    accuracies: dict[str, float]
+    accuracies: dict[str, float]  # nan for a variant that did not run
     status: str = "ok"
-    failed: int = 0  # variants of the cell that did not run
 
 
 def _head_layers(resolved: ResolvedConfig) -> str:
@@ -65,11 +64,8 @@ def sweep_grid(resolved: ResolvedConfig) -> list[tuple[int, int, float]]:
     """Cartesian grid from the sweep.* keys, falling back to the base values."""
     clients = _grid_values(resolved, "sweep.clients", int) or [resolved.experiment.clients]
     rounds = _grid_values(resolved, "sweep.rounds", int) or [resolved.experiment.rounds]
-    base_eps = resolved.experiment.target_epsilon or 0.0
+    base_eps = resolved.values["privacy.target_epsilon"]
     epsilons = _grid_values(resolved, "sweep.epsilon", float) or [base_eps]
-    for eps in epsilons:
-        if not eps >= 0.0:  # 0 means no target; NaN fails here too
-            raise ConfigError(f"sweep.epsilon: {eps!r} is not a budget (0 means no target)")
     return [(k, t, e) for k in clients for t in rounds for e in epsilons]
 
 
@@ -78,6 +74,14 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
     import csv  # at module level it would slow every `import dpfedsim`
 
     grid = sweep_grid(resolved)
+    cells = []  # every cell is resolved before any data is loaded or directory made
+    for clients, rounds, epsilon in grid:
+        overrides = [f"clients={clients}", f"rounds={rounds}", f"privacy.target_epsilon={epsilon!r}"]
+        try:
+            cells.append(with_overrides(resolved, overrides))
+        except ConfigError as exc:
+            where = f"sweep.clients={clients} sweep.rounds={rounds} sweep.epsilon={epsilon!r}"
+            raise ConfigError(f"sweep cell {where}: {exc}") from exc
     train, test = load_dataset(resolved)  # no cell overrides a dataset key
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -85,7 +89,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
     # cells that differ only in epsilon need their own directories
     several_eps = len({epsilon for _, _, epsilon in grid}) > 1
     rows: list[SweepRow] = []
-    for cell_no, (clients, rounds, epsilon) in enumerate(grid):
+    for cell_no, ((clients, rounds, epsilon), base) in enumerate(zip(grid, cells)):
         cell_name = f"{resolved.name}-c{clients}-r{rounds}"
         if several_eps:
             cell_name += f"-e{epsilon!r}"
@@ -96,16 +100,12 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
             )
             overrides = [
                 f"name={cell_name}-{label}",
-                f"clients={clients}",
-                f"rounds={rounds}",
                 f"mask_layers={head if mask == 'head' else 'all'}",
                 f"aggregation={agg}",
                 f"seeds.global={cell_seed}",
             ]
-            if epsilon > 0:
-                overrides.append(f"privacy.target_epsilon={epsilon}")
             try:
-                cell = with_overrides(resolved, overrides)
+                cell = with_overrides(base, overrides)
                 result = run_experiment(cell.experiment, train, test)
                 cell.write_run(result, out / "cells" / str(cell.name))
                 error = result.error
@@ -116,7 +116,6 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
             else:
                 row.status = f"error: {error}"
                 row.accuracies[label] = float("nan")
-                row.failed += 1
         rows.append(row)
     labels = [label for label, _, _ in _VARIANTS]
     with open(out / SWEEP_FILE, "w", newline="") as fh:

@@ -77,9 +77,9 @@ FIELDS = {
     "pretrain.lr": ("0.3", 0.3, lambda e, d: e.pretrain_lr, {}),
     "pretrain.public_fraction": ("0.2", 0.2, lambda e, d: e.public_fraction, {}),
     "dataset.generator": ("two-spirals", "two-spirals", lambda e, d: d.generator, {}),
-    "dataset.classes": ("3", 3, lambda e, d: d.classes, {}),
+    "dataset.classes": ("3", 3, lambda e, d: d.classes, {"model.output_dim": "4"}),
     "dataset.samples": ("90", 90, lambda e, d: d.samples, {}),
-    "dataset.input_dim": ("3", 3, lambda e, d: d.input_dim, {}),
+    "dataset.input_dim": ("3", 3, lambda e, d: d.input_dim, {"model.input_dim": "3"}),
     "dataset.noise_std": ("0.5", 0.5, lambda e, d: d.noise_std, {}),
     "dataset.seed": ("21", 21, lambda e, d: d.seed, {}),
     "comm.bandwidth_mbps": ("10.0", 10.0, lambda e, d: e.comm.bandwidth_mbps, {}),
@@ -141,6 +141,8 @@ def test_derived_defaults_follow_what_is_set(monkeypatch):
         **{
             "seeds.global": "7",
             "seeds.noise": "4",
+            "model.output_dim": "4",
+            "model.input_dim": "6",
             "dataset.classes": "3",
             "dataset.input_dim": "6",
             "dataset.seed": "5",

@@ -37,6 +37,10 @@ REJECTED = {
     "dataset.test_fraction": {"dataset.test_fraction": "2"},
     "dataset.source": {"dataset.source": "bogus"},
     "dataset.path": {"dataset.source": "file", "dataset.path": "{tmp}/missing.csv"},
+    # data the model cannot take: three classes under a two-way head, three
+    # features into two inputs
+    "dataset.classes": {"dataset.classes": "3"},
+    "dataset.input_dim": {"dataset.input_dim": "3"},
     "clients": {"clients": "0"},
     "rounds-with-target": {"rounds": "0", **TARGET},
     "batch_size": {"batch_size": "0"},
@@ -76,12 +80,25 @@ REJECTED = {
 AT_RESOLVE = sorted(
     set(REJECTED)
     - {"dataset.generator", "dataset.noise_std=nan", "dataset.test_fraction", "clients-over-rows"}
-    - {"rounds-with-target", "clients-over-rows-with-target"}  # at the run's sigma solve
+    - {"dataset.classes", "dataset.input_dim"}  # when the data is loaded
+    - {"clients-over-rows-with-target"}  # at the run's sigma solve
+)
+
+# a sweep refuses every case federated does, and a grid value the configuration
+# refuses; only the client shards, cut as a cell runs, find too many clients
+SWEEP_REJECTED = dict(
+    {case: values for case, values in REJECTED.items() if not case.startswith("clients-over-rows")},
+    **{
+        "sweep.epsilon=inf": {"sweep.epsilon": "inf"},
+        "sweep.epsilon=nan": {"sweep.epsilon": "1.0,nan"},
+        "sweep.clients=0,2": {"sweep.clients": "0,2"},
+        "sweep.rounds=0-with-target": {"sweep.rounds": "1,0", **TARGET},
+    },
 )
 
 
-def _values(case, tmp_path):
-    return {k: v.format(tmp=tmp_path) for k, v in REJECTED[case].items()}
+def _values(case, tmp_path, table=REJECTED):
+    return {k: v.format(tmp=tmp_path) for k, v in table[case].items()}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -99,6 +116,18 @@ def test_cli_rejects_without_a_run_directory(case, tmp_path, capsys):
     sets = [arg for k, v in _values(case, tmp_path).items() for arg in ("--set", f"{k}={v}")]
     out = tmp_path / "out"
     assert main(["federated", "--config", str(cfg), *sets, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_REJECTED))
+def test_cli_sweep_rejects_without_a_sweep_directory(case, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in BASE.items()))
+    values = _values(case, tmp_path, SWEEP_REJECTED).items()
+    sets = [arg for k, v in values for arg in ("--set", f"{k}={v}")]
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), *sets, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err
 

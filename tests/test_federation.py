@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,16 @@ def test_config_validation_errors():
         base_config(pretrain_epochs=5, public_fraction=0.0).validate()
     with pytest.raises(ConfigError):
         base_config(model=ModelSpec("linear", 2, 1)).validate()
+
+
+def test_replace_checks_the_config_it_builds():
+    # the rules used to run only when a caller remembered validate()
+    cfg = base_config()
+    with pytest.raises(ConfigError, match="clients"):
+        replace(cfg, clients=0)
+    with pytest.raises(ConfigError, match="rounds >= 1"):
+        replace(cfg, target_epsilon=1.0, rounds=0)
+    assert replace(cfg, rounds=0).rounds == 0  # zero rounds without a target run
 
 
 def test_poisson_sampler_end_to_end():

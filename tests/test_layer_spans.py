@@ -69,9 +69,8 @@ def test_every_lookup_raises_one_unknown_layer_error(tmp_path, capsys):
     assert "'head.typo'" in text
     assert all(name in text for name in NAMES)
 
-    bad = replace(resolve_raw(RAW).experiment, mask_layers=("head.typo",))
     with pytest.raises(ConfigError) as info:
-        bad.validate()
+        replace(resolve_raw(RAW).experiment, mask_layers=("head.typo",))
     assert str(info.value) == f"mask_layers: {text}"
 
     cfg = tmp_path / "exp.cfg"

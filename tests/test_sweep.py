@@ -71,6 +71,21 @@ def test_sweep_epsilon_zero_still_means_no_target(tmp_path):
     assert all(float(d["privacy.target_epsilon"]) == 0.0 for d in dumps)
 
 
+def test_a_zero_epsilon_cell_runs_without_the_base_target(tmp_path):
+    # a 0 in sweep.epsilon used to leave the base target in force: its cells
+    # solved sigma for 1.0 while sweep.csv read 0.0
+    raw = dict(MINIMAL, **{"privacy.target_epsilon": "1.0", "sweep.epsilon": "0,2"})
+    resolved = resolve_raw(raw)
+    rows = run_sweep(resolved, tmp_path / "sweep")
+    assert [(row.epsilon, row.status) for row in rows] == [(0.0, "ok"), (2.0, "ok")]
+    cells = sorted((tmp_path / "sweep" / "cells").glob("*-e0.0-*"))
+    assert len(cells) == 4
+    for cell in cells:
+        dump = read_summary(cell / "resolved_config.txt")
+        assert dump["privacy.target_epsilon"] == "0.0"
+        assert float(dump["dp.noise_multiplier"]) == resolved.experiment.dp.noise_multiplier == 1.0
+
+
 def test_sweep_loads_its_data_once(tmp_path, monkeypatch):
     calls = []
     real = config.make_dataset
@@ -168,10 +183,14 @@ def test_the_report_over_a_two_epsilon_sweep_keeps_its_text(tmp_path):
     )
 
 
-def test_a_status_holding_commas_stays_one_csv_field(tmp_path):
-    # three classes under a two-way head fail every cell with a message that
-    # holds a comma; written unquoted, the row read back as 10 fields under 8
-    resolved = resolve_raw(dict(MINIMAL, **{"dataset.classes": "3", "sweep.clients": "2,3"}))
+def test_a_status_holding_commas_stays_one_csv_field(tmp_path, monkeypatch):
+    # every variant fails with a message that holds a comma; written
+    # unquoted, the row read back as 10 fields under 8
+    def raising(cfg, train, test):
+        raise NumericError("round 0: rows [0, 2] diverged")
+
+    monkeypatch.setattr(sweep, "run_experiment", raising)
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,3"}))
     rows = run_sweep(resolved, tmp_path / "sweep")
     assert all("," in row.status for row in rows)
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
