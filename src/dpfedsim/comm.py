@@ -2,8 +2,8 @@
 
 Traffic per client per round is the trainable fraction of the full-model
 upload cost, C = (d_t / d) * B_f, and delay is pure bandwidth division; both
-are closed-form, so totals are exact.  A round's modeled compute and wall_s
-are summed in federation.run_experiment; the file formats are in the README.
+are closed-form, so totals are exact.  round_costs prices a whole round,
+wall_s included, with masking's wire sizes; the file formats are in the README.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ShapeError
-from .masking import DEFAULT_ENCODING, PartitionMask
+from .masking import DEFAULT_ENCODING, HEADER, INDEX, VALUE, PartitionMask
 from .models import ModelSpec, parameter_count
 
 MB = 1_000_000  # metrics use SI megabytes
@@ -43,8 +43,8 @@ class CommModel:
 
 
 def default_comm(spec: ModelSpec) -> CommModel:
-    """The link of a run that sets none: B_f = 4 d, every parameter one float32."""
-    return CommModel(DEFAULT_BANDWIDTH_MBPS, 4.0 * parameter_count(spec))
+    """The link of a run that sets none: B_f = 4 d, every parameter one wire value."""
+    return CommModel(DEFAULT_BANDWIDTH_MBPS, float(VALUE.itemsize * parameter_count(spec)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def traffic_per_round(
     if encoding == "dense-f32":
         payload = mask.trainable_fraction * comm.full_model_bytes
     elif encoding == "sparse-idx32-f32":
-        payload = float(16 + 8 * mask.trainable_count)  # header, (index, value) pairs
+        # the header and the (index, value) pairs, but not the body
+        payload = float(HEADER.size + (INDEX.itemsize + VALUE.itemsize) * mask.trainable_count)
     else:
         raise ShapeError(f"unknown encoding {encoding!r}")
     return payload + comm.per_message_overhead_bytes
@@ -93,6 +94,27 @@ def delay_seconds(nbytes: float, comm: CommModel) -> float:
     if not nbytes >= 0:  # NaN fails too
         raise ShapeError("byte count must be >= 0")
     return nbytes / (comm.bandwidth_mbps * MB)
+
+
+def round_costs(
+    mask: PartitionMask,
+    comm: CommModel,
+    sizes: list[int],
+    encoding: str,
+    masked_broadcast: bool,
+    local_epochs: int,
+    seconds_per_coord: float,
+) -> tuple[float, float, float, float]:
+    """A round's cost fields of RoundRecord, in field order, for selected clients
+    of sizes n_k: bytes up (traffic_per_round) and down (the same when
+    masked_broadcast, else the full model) per client, the upload delay, and
+    wall_s = down delay + max n_k * E * (d + d_t) * seconds_per_coord + up delay."""
+    up = traffic_per_round(mask, comm, encoding)
+    down = up if masked_broadcast else comm.full_model_bytes + comm.per_message_overhead_bytes
+    coords = mask.total_count + mask.trainable_count
+    compute_s = max(n_k * local_epochs * coords * seconds_per_coord for n_k in sizes)
+    delay_up = delay_seconds(up, comm)
+    return up, down, delay_up, delay_seconds(down, comm) + compute_s + delay_up
 
 
 def render_value(value: object) -> str:

@@ -1,8 +1,8 @@
 """Experiment configuration: a flat key=value text format with dotted keys.
 
 Every key has one schema row: its type, its default and the field it sets.
-Unknown keys are rejected rather than ignored, in files and in --set
-overrides alike.  parse_config resolves a file plus overrides into a
+Unknown keys are rejected rather than ignored, in files, raw tables and
+--set overrides alike.  parse_config resolves a file plus overrides into a
 fully-populated value table and an ExperimentConfig.  This module only maps
 keys onto the dataclasses, which check their own rules; it checks the
 dataset source, and load_dataset that the model takes the data; what either
@@ -71,7 +71,6 @@ SCHEMA: dict[str, tuple[str, object, str | None]] = {
     "dataset.generator": ("str", "gaussian-blobs", "dataset.generator"),
     "dataset.classes": ("int", lambda v: v["model.output_dim"], "dataset.classes"),
     "dataset.samples": ("int", 600, "dataset.samples"),
-    "dataset.input_dim": ("int", lambda v: v["model.input_dim"], "dataset.input_dim"),
     "dataset.noise_std": ("float", SyntheticDatasetSpec.noise_std, "dataset.noise_std"),
     "dataset.seed": ("int", lambda v: v["seeds.data"], "dataset.seed"),
     "dataset.path": ("str", "", None),
@@ -172,6 +171,9 @@ def resolve_raw(
     seed: int | None = None,
 ) -> ResolvedConfig:
     """Resolve raw key/value strings plus overrides into a full configuration."""
+    for key in raw:
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
     raw = dict(raw)
     for item in overrides:
         if "=" not in item:
@@ -254,15 +256,16 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
 
 
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
-    """(train, test) splits of a configuration, whose model must take the data."""
-    values = resolved.values
+    """(train, test) splits of a configuration, whose model must take the data;
+    generated data is as wide as the model's input."""
+    values, model = resolved.values, resolved.experiment.model
     dataset = _fields(values)["dataset"]
     if values["dataset.source"] == "synthetic":
-        full = make_dataset(SyntheticDatasetSpec(**dataset))
+        full = make_dataset(SyntheticDatasetSpec(**dataset, input_dim=model.input_dim))
     else:
         full = load_delimited(values["dataset.path"])
     try:
-        check_batch(resolved.experiment.model, full)
+        check_batch(model, full)
     except ShapeError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     return split_train_test(full, values["dataset.test_fraction"], dataset["seed"])

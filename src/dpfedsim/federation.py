@@ -5,9 +5,10 @@ Every round proceeds as: the server picks a participant set, each selected
 client copies the broadcast parameters, runs local epochs of clipped and
 noise-perturbed gradient steps on its trainable coordinates, and sends back
 the masked delta; the server aggregates in ascending client id, evaluates on
-the held-out split, and appends one RoundRecord.  All randomness flows
-through derived counter-based streams, so records are bit-reproducible for a
-given configuration and independent of client scheduling.
+the held-out split, charges epsilon, and appends one RoundRecord, whose costs
+comm.round_costs prices.  All randomness flows through derived counter-based
+streams, so records are bit-reproducible for a given configuration and
+independent of client scheduling.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .accountant import PrivacyParams, compose_rounds, sigma_for_target
 from .aggregation import AggregationOp, aggregate
-from .comm import CommModel, RoundRecord, default_comm, delay_seconds, traffic_per_round
+from .comm import CommModel, RoundRecord, default_comm, round_costs
 from .data import seeded_split
 from .dpsgd import (
     SAMPLER_MODES,
@@ -43,7 +44,6 @@ from .models import (
     init_params,
     layer_layout,
     layer_spans,
-    parameter_count,
     pretrain,
 )
 from .rng import (
@@ -80,8 +80,11 @@ class ClientShard:
 
     client_id: int
     data: SampleBatch
-    n_k: int
     rng_seed: int
+
+    @property
+    def n_k(self) -> int:
+        return self.data.size
 
 
 @dataclass(frozen=True)
@@ -195,18 +198,10 @@ def partition_data(
     else:
         parts = _dirichlet_parts(dataset, clients, alpha, rng)
     root = seed if client_seed_root is None else client_seed_root
-    shards = []
-    for cid, idx in enumerate(parts):
-        idx = np.sort(np.asarray(idx))
-        shards.append(
-            ClientShard(
-                client_id=cid,
-                data=dataset.take(idx),
-                n_k=int(idx.size),
-                rng_seed=derive_seed(root, STREAM_CLIENT, cid),
-            )
-        )
-    return shards
+    return [
+        ClientShard(cid, dataset.take(np.sort(idx)), derive_seed(root, STREAM_CLIENT, cid))
+        for cid, idx in enumerate(parts)
+    ]
 
 
 def _dirichlet_parts(
@@ -372,16 +367,7 @@ def run_experiment(
         cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma_for_shards(cfg, shards)))
     w = initial_params(cfg, public)
     mask = make_mask(layer_layout(cfg.model), cfg.resolved_mask_layers())
-    d = parameter_count(cfg.model)
     comm = cfg.comm or default_comm(cfg.model)
-    bytes_up = traffic_per_round(mask, comm, cfg.encoding)
-    if cfg.masked_broadcast:
-        bytes_down = bytes_up
-    else:
-        bytes_down = comm.full_model_bytes + comm.per_message_overhead_bytes
-    delay_up = delay_seconds(bytes_up, comm)
-    delay_down = delay_seconds(bytes_down, comm)
-
     participation = [0] * cfg.clients
     records: list[RoundRecord] = []
     error: str | None = None
@@ -405,21 +391,9 @@ def run_experiment(
         epsilon = max(
             _client_epsilon(cfg, shards[k], participation[k]) for k in range(cfg.clients)
         )
-        compute_s = max(
-            shards[k].n_k * cfg.local_epochs * (d + mask.trainable_count) * cfg.seconds_per_coord
-            for k in selected
+        sizes = [shards[k].n_k for k in selected]
+        costs = round_costs(
+            mask, comm, sizes, cfg.encoding, cfg.masked_broadcast, cfg.local_epochs, cfg.seconds_per_coord
         )
-        records.append(
-            RoundRecord(
-                round_index=t,
-                global_loss=metrics.loss,
-                global_accuracy=metrics.accuracy,
-                epsilon_to_date=epsilon,
-                bytes_up_per_client=bytes_up,
-                bytes_down_per_client=bytes_down,
-                modeled_delay_s=delay_up,
-                wall_time_s=delay_down + compute_s + delay_up,
-                participants=len(selected),
-            )
-        )
+        records.append(RoundRecord(t, metrics.loss, metrics.accuracy, epsilon, *costs, len(selected)))
     return ExperimentResult(records, w, cfg.dp.noise_multiplier, error)

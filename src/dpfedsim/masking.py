@@ -23,8 +23,10 @@ MAGIC = b"FDPS"
 WIRE_VERSION = 1
 _ENCODING_CODES = {"dense-f32": 1, "sparse-idx32-f32": 2}
 _CODE_ENCODINGS = {v: k for k, v in _ENCODING_CODES.items()}
-_HEADER = struct.Struct("<4sHHII")  # magic, version, encoding, client_id, round
-_BODY = struct.Struct("<IIII")  # tau, n_k, total_dim, entry_count
+HEADER = struct.Struct("<4sHHII")  # magic, version, encoding, client_id, round
+BODY = struct.Struct("<IIII")  # tau, n_k, total_dim, entry_count
+VALUE = np.dtype("<f4")  # one delta on the wire
+INDEX = np.dtype("<u4")  # one sparse coordinate on the wire
 
 
 def _selector(indices: np.ndarray) -> slice | np.ndarray:
@@ -134,53 +136,48 @@ def extract_masked_update(
 
 
 def serialize_update(update: MaskedUpdate, total_dim: int, encoding: str = DEFAULT_ENCODING) -> bytes:
-    """Binary wire form: 16-byte header, 16-byte body, then the payload.
-
-    Layout (all little-endian):
-      magic "FDPS" | version u16 | encoding u16 | client_id u32 | round u32
-      tau u32 | n_k u32 | total_dim u32 | entry_count u32
-      dense-f32:        entry_count float32 values in index order
-      sparse-idx32-f32: entry_count u32 indices, then entry_count f32 values
-    """
+    """Binary wire form: HEADER, BODY, then the payload, which is entry_count
+    VALUEs in index order (dense-f32), or entry_count INDEXes and then the
+    VALUEs (sparse-idx32-f32)."""
     if encoding not in _ENCODING_CODES:
         raise ShapeError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
-    head = _HEADER.pack(
+    head = HEADER.pack(
         MAGIC, WIRE_VERSION, _ENCODING_CODES[encoding], update.client_id, update.round_index
     )
-    body = _BODY.pack(update.tau, update.n_k, total_dim, update.entry_count)
-    values = update.deltas.astype("<f4").tobytes()
+    body = BODY.pack(update.tau, update.n_k, total_dim, update.entry_count)
+    values = update.deltas.astype(VALUE).tobytes()
     if encoding == "dense-f32":
         return head + body + values
-    return head + body + update.indices.astype("<u4").tobytes() + values
+    return head + body + update.indices.astype(INDEX).tobytes() + values
 
 
 def deserialize_update(blob: bytes, mask: PartitionMask | None = None) -> MaskedUpdate:
     """Inverse of serialize_update; dense payloads need the mask for indices."""
-    if len(blob) < _HEADER.size + _BODY.size:
+    if len(blob) < HEADER.size + BODY.size:
         raise ProtocolError("update blob shorter than the fixed header")
-    magic, version, code, client_id, round_index = _HEADER.unpack_from(blob, 0)
+    magic, version, code, client_id, round_index = HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != WIRE_VERSION:
         raise ProtocolError(f"unsupported wire version {version}")
     if code not in _CODE_ENCODINGS:
         raise ProtocolError(f"unknown encoding code {code}")
-    tau, n_k, total_dim, count = _BODY.unpack_from(blob, _HEADER.size)
-    payload = blob[_HEADER.size + _BODY.size :]
+    tau, n_k, total_dim, count = BODY.unpack_from(blob, HEADER.size)
+    payload = blob[HEADER.size + BODY.size :]
     if _CODE_ENCODINGS[code] == "dense-f32":
         if mask is None:
             raise ProtocolError("dense-f32 payloads need the mask to recover indices")
         if mask.trainable_count != count or mask.total_count != total_dim:
             raise ProtocolError("mask does not match the serialized update")
-        if len(payload) != 4 * count:
+        if len(payload) != VALUE.itemsize * count:
             raise ProtocolError("dense payload has the wrong size")
-        values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        values = np.frombuffer(payload, dtype=VALUE).astype(np.float64)
         indices = mask.indices
     else:
-        if len(payload) != 8 * count:
+        if len(payload) != (INDEX.itemsize + VALUE.itemsize) * count:
             raise ProtocolError("sparse payload has the wrong size")
-        indices = np.frombuffer(payload[: 4 * count], dtype="<u4").astype(np.int64)
+        indices = np.frombuffer(payload, dtype=INDEX, count=count).astype(np.int64)
         if np.any(indices >= total_dim):
             raise ProtocolError(f"sparse index out of range for total_dim {total_dim}")
-        values = np.frombuffer(payload[4 * count :], dtype="<f4").astype(np.float64)
+        values = np.frombuffer(payload, VALUE, count, offset=INDEX.itemsize * count).astype(np.float64)
     return MaskedUpdate(client_id, round_index, indices, values, tau, n_k)

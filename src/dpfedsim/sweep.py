@@ -6,8 +6,9 @@ seeds.global, with its own derived seed, which draws client selection,
 initialisation and pretraining.  Every cell keeps the base configuration's
 resolved seeds.data, seeds.noise and dataset.seed, so all cells train on the
 same dataset, public split and partition, with the same batch shuffles and
-DP noise; the dataset is loaded once per sweep.  A refused grid value stops
-the sweep before it starts; a cell that fails at run time is an error row.
+DP noise; the dataset is loaded once per sweep.  A cell the configuration
+refuses, or with more clients than training rows, stops the sweep before it
+starts; a cell that fails at run time is an error row.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 
 from .comm import MB, SUMMARY_FILE, read_summary
 from .config import RESOLVED_FILE, ResolvedConfig, load_dataset, rendered_raw, resolve_raw
-from .errors import ConfigError, DpFedSimError
-from .federation import run_experiment
+from .errors import ConfigError, DpFedSimError, ShapeError
+from .federation import client_shards, run_experiment
 from .models import layer_layout, layer_spans
 from .rng import STREAM_SWEEP, derive_seed
 
@@ -74,15 +75,16 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
     import csv  # at module level it would slow every `import dpfedsim`
 
     grid = sweep_grid(resolved)
-    cells = []  # every cell is resolved before any data is loaded or directory made
+    train, test = load_dataset(resolved)  # no cell overrides a dataset key
+    cells = []  # every cell is resolved and split before any directory is made
     for clients, rounds, epsilon in grid:
         overrides = [f"clients={clients}", f"rounds={rounds}", f"privacy.target_epsilon={epsilon!r}"]
         try:
             cells.append(with_overrides(resolved, overrides))
-        except ConfigError as exc:
+            client_shards(cells[-1].experiment, train)
+        except (ConfigError, ShapeError) as exc:
             where = f"sweep.clients={clients} sweep.rounds={rounds} sweep.epsilon={epsilon!r}"
             raise ConfigError(f"sweep cell {where}: {exc}") from exc
-    train, test = load_dataset(resolved)  # no cell overrides a dataset key
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     head = _head_layers(resolved)

@@ -170,7 +170,7 @@ def test_criterion_05_centralized_equivalence():
                 dp = DpConfig(clip_norm=clip, noise_multiplier=0.0, learning_rate=0.25)
                 updates = []
                 for cid in range(k):
-                    shard = ClientShard(cid, data, data.size, rng_seed=1000 + cid)
+                    shard = ClientShard(cid, data, rng_seed=1000 + cid)
                     plan = SamplerPlan("shuffle", data.size, data.size, shard.rng_seed)
                     updates.append(
                         run_local(spec, shard, w0, mask, dp, plan, local_epochs=1, round_index=0)

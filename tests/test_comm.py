@@ -19,9 +19,9 @@ from dpfedsim import (
     traffic_per_round,
     write_records,
 )
-from dpfedsim.comm import MB, read_summary, render_rounds_table, summarize
+from dpfedsim.comm import MB, read_summary, render_rounds_table, round_costs, summarize
 from dpfedsim.federation import default_comm
-from dpfedsim.masking import PartitionMask
+from dpfedsim.masking import BODY, ENCODINGS, HEADER, PartitionMask
 
 RNG = np.random.default_rng
 BANDWIDTH = 1456.0 / 174.72  # back-solved from the reference link: 8.333... MB/s
@@ -86,16 +86,56 @@ WIRE_SPEC = ModelSpec("mlp", input_dim=64, output_dim=4, hidden_dim=256)
     [(), ("head.bias",), ("head.weight", "head.bias"), ("hidden.bias", "head.bias")],
 )
 def test_the_traffic_model_leaves_out_a_fixed_part_of_the_wire_blob(layers):
-    # serialize_update writes a 32-byte header and body that traffic_per_round
-    # does not count; the sparse model's 16 stands for no field of it
+    # serialize_update writes a 16-byte header and a 16-byte body; the dense
+    # model counts neither, the sparse one the header but not the body
     layout = layer_layout(WIRE_SPEC)
     mask = make_mask(layout, layers or [name for name, _, _ in layout])
     comm = default_comm(WIRE_SPEC)  # B_f = 4 d, no per-message overhead
     deltas = RNG(0).normal(size=mask.trainable_count)
     update = MaskedUpdate(3, 1, mask.indices, deltas, tau=5, n_k=48)
-    for encoding, gap in (("dense-f32", 32.0), ("sparse-idx32-f32", 16.0)):
+    for encoding, gap in (("dense-f32", HEADER.size + BODY.size), ("sparse-idx32-f32", BODY.size)):
         blob = serialize_update(update, mask.total_count, encoding)
         assert len(blob) - traffic_per_round(mask, comm, encoding) == pytest.approx(gap, abs=1e-9)
+
+
+def _inline_costs(mask, comm, sizes, encoding, masked_broadcast, local_epochs, seconds_per_coord):
+    """A round's cost fields as inline formulas, one per field, in the order of
+    operations round_costs must keep."""
+    d = mask.total_count
+    if encoding == "dense-f32":
+        bytes_up = mask.trainable_fraction * comm.full_model_bytes + comm.per_message_overhead_bytes
+    else:
+        bytes_up = float(16 + 8 * mask.trainable_count) + comm.per_message_overhead_bytes
+    if masked_broadcast:
+        bytes_down = bytes_up
+    else:
+        bytes_down = comm.full_model_bytes + comm.per_message_overhead_bytes
+    delay_up = bytes_up / (comm.bandwidth_mbps * MB)
+    delay_down = bytes_down / (comm.bandwidth_mbps * MB)
+    compute_s = max(
+        n_k * local_epochs * (d + mask.trainable_count) * seconds_per_coord for n_k in sizes
+    )
+    return bytes_up, bytes_down, delay_up, delay_down + compute_s + delay_up
+
+
+@pytest.mark.parametrize("seconds_per_coord", [0.0, 1e-9])
+@pytest.mark.parametrize("local_epochs", [1, 2, 3])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("masked_broadcast", [False, True])
+def test_round_costs_are_the_inline_formulas_bit_for_bit(
+    masked_broadcast, encoding, local_epochs, seconds_per_coord
+):
+    # E = 3 is not a power of two, so a reassociated n * c * (E * rate) can
+    # round differently from n * E * c * rate
+    layout = layer_layout(WIRE_SPEC)
+    links = [default_comm(WIRE_SPEC), CommModel(BANDWIDTH, 1456.0 * MB, 12.0), CommModel(3.7, 70001.0, 0.5)]
+    for layers in [("head.bias",), ("head.weight", "head.bias"), ("hidden.bias", "head.bias"), ()]:
+        mask = make_mask(layout, layers or [name for name, _, _ in layout])
+        for comm in links:
+            for sizes in ([157], [160, 157, 13], [1, 2, 3, 1001]):
+                args = (mask, comm, sizes, encoding, masked_broadcast, local_epochs, seconds_per_coord)
+                got = round_costs(*args)
+                assert [x.hex() for x in got] == [x.hex() for x in _inline_costs(*args)]
 
 
 def test_the_auto_model_size_is_the_default_link_of_a_run():

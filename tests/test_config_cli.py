@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpfedsim import ConfigError, ShapeError, parse_config, resolve_raw, run_experiment, sigma_for_target
+from dpfedsim import NumericError, sweep
 from dpfedsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.config import load_dataset, rendered_raw
 from dpfedsim.rng import STREAM_SWEEP, derive_seed
@@ -38,10 +39,18 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert resolved.experiment.local_epochs == 1
     assert resolved.experiment.dp.clip_norm == 1.0
     assert resolved.experiment.delta == 1e-4
-    assert resolved.values["dataset.input_dim"] == 2  # defaulted from the model
+    assert "dataset.input_dim" not in resolved.values  # the data is as wide as the model
     dump = resolved.dump()
     assert dump.splitlines()[0].startswith("#")
     assert "batch_size = 32" in dump
+
+
+def test_a_file_or_table_that_spells_dataset_input_dim_is_refused(tmp_path):
+    # the key is gone: generated data is as wide as model.input_dim
+    with pytest.raises(ConfigError, match="exp.cfg:7: unknown key 'dataset.input_dim'"):
+        parse_config(write_cfg(tmp_path, extra=["dataset.input_dim = 2"]))
+    with pytest.raises(ConfigError, match="^unknown key 'dataset.input_dim'$"):
+        resolve_raw(dict(MINIMAL, **{"dataset.input_dim": "2"}))
 
 
 def test_dump_round_trips_identically(tmp_path):
@@ -204,23 +213,33 @@ def test_single_cell_sweep_runs_all_variants(tmp_path):
     assert (tmp_path / "sweep" / "cells").is_dir()
 
 
-def test_sweep_continues_after_bad_cell(tmp_path):
+def test_sweep_continues_after_bad_cell(tmp_path, monkeypatch):
+    # a cell the configuration refuses stops the whole sweep, so this bad
+    # cell fails at run time
+    real = sweep.run_experiment
+
+    def diverging_at_three_clients(cfg, train, test):
+        if cfg.clients == 3:
+            raise NumericError("round 0: non-finite gradient in sample 0")
+        return real(cfg, train, test)
+
+    monkeypatch.setattr(sweep, "run_experiment", diverging_at_three_clients)
     resolved = resolve_raw(
         dict(
             MINIMAL,
             **{
                 "dataset.samples": "40",
                 "local_epochs": "1",
-                "sweep.clients": "2,100",  # 100 clients cannot split 30 rows
+                "sweep.clients": "3,2",
                 "rounds": "1",
             },
         )
     )
     rows = run_sweep(resolved, tmp_path / "sweep")
     assert len(rows) == 2
-    assert rows[0].status == "ok"
-    assert rows[1].status.startswith("error")
-    assert np.isnan(rows[1].accuracies["ft_fedavg"])
+    assert rows[0].status.startswith("error")
+    assert np.isnan(rows[0].accuracies["ft_fedavg"])
+    assert rows[1].status == "ok"
 
 
 def test_with_overrides_rebuilds(tmp_path):

@@ -79,7 +79,6 @@ FIELDS = {
     "dataset.generator": ("two-spirals", "two-spirals", lambda e, d: d.generator, {}),
     "dataset.classes": ("3", 3, lambda e, d: d.classes, {"model.output_dim": "4"}),
     "dataset.samples": ("90", 90, lambda e, d: d.samples, {}),
-    "dataset.input_dim": ("3", 3, lambda e, d: d.input_dim, {"model.input_dim": "3"}),
     "dataset.noise_std": ("0.5", 0.5, lambda e, d: d.noise_std, {}),
     "dataset.seed": ("21", 21, lambda e, d: d.seed, {}),
     "comm.bandwidth_mbps": ("10.0", 10.0, lambda e, d: e.comm.bandwidth_mbps, {}),
@@ -128,7 +127,7 @@ def test_derived_defaults_when_unset(monkeypatch):
     assert (spec.classes, spec.input_dim, spec.seed) == (5, 3, 8)
     resolved = resolve_raw(raw)
     assert [resolved.values[k] for k in ("seeds.data", "seeds.noise", "dataset.seed")] == [8, 9, 8]
-    assert [resolved.values[k] for k in ("dataset.classes", "dataset.input_dim")] == [5, 3]
+    assert resolved.values["dataset.classes"] == 5
 
 
 def test_derived_defaults_follow_what_is_set(monkeypatch):
@@ -144,7 +143,6 @@ def test_derived_defaults_follow_what_is_set(monkeypatch):
             "model.output_dim": "4",
             "model.input_dim": "6",
             "dataset.classes": "3",
-            "dataset.input_dim": "6",
             "dataset.seed": "5",
         },
     )

@@ -37,9 +37,9 @@ REJECTED = {
     "dataset.test_fraction": {"dataset.test_fraction": "2"},
     "dataset.source": {"dataset.source": "bogus"},
     "dataset.path": {"dataset.source": "file", "dataset.path": "{tmp}/missing.csv"},
-    # data the model cannot take: three classes under a two-way head, three
-    # features into two inputs
+    # data the model cannot take: three classes under a two-way head
     "dataset.classes": {"dataset.classes": "3"},
+    # a removed key: generated data is as wide as model.input_dim
     "dataset.input_dim": {"dataset.input_dim": "3"},
     "clients": {"clients": "0"},
     "rounds-with-target": {"rounds": "0", **TARGET},
@@ -80,14 +80,14 @@ REJECTED = {
 AT_RESOLVE = sorted(
     set(REJECTED)
     - {"dataset.generator", "dataset.noise_std=nan", "dataset.test_fraction", "clients-over-rows"}
-    - {"dataset.classes", "dataset.input_dim"}  # when the data is loaded
+    - {"dataset.classes"}  # when the data is loaded
     - {"clients-over-rows-with-target"}  # at the run's sigma solve
 )
 
 # a sweep refuses every case federated does, and a grid value the configuration
-# refuses; only the client shards, cut as a cell runs, find too many clients
+# refuses
 SWEEP_REJECTED = dict(
-    {case: values for case, values in REJECTED.items() if not case.startswith("clients-over-rows")},
+    REJECTED,
     **{
         "sweep.epsilon=inf": {"sweep.epsilon": "inf"},
         "sweep.epsilon=nan": {"sweep.epsilon": "1.0,nan"},

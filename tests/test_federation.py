@@ -109,6 +109,18 @@ def test_dirichlet_skews_classes():
     assert max(fractions) - min(fractions) > 0.3  # alpha=0.1 is strongly non-iid
 
 
+def test_a_shard_counts_its_own_rows():
+    # n_k is the shard's row count, so no shard can disagree with its rows
+    # and mis-weight aggregation or the sampling ratio
+    data = make_dataset(SyntheticDatasetSpec("gaussian-blobs", 2, 10, 2, seed=0))
+    shard = federation.ClientShard(0, data, rng_seed=5)
+    assert shard.n_k == data.size == 10
+    with pytest.raises(TypeError):
+        federation.ClientShard(0, data, 5, 5)
+    shards = partition_data(data, 3, "iid", seed=1)
+    assert [s.n_k for s in shards] == [s.data.size for s in shards] == [4, 3, 3]
+
+
 def test_partition_impossible():
     with pytest.raises(ShapeError):
         partition_data(blob_data(3), 4, "iid", seed=0)

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from dpfedsim import ExperimentResult, NumericError, config, init_params, resolve_raw, sigma_for_target
-from dpfedsim import sweep
+from dpfedsim import ConfigError, sweep
 from dpfedsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.comm import read_summary
 from dpfedsim.federation import Seeds
@@ -115,6 +115,16 @@ def test_cli_sweep_with_unloadable_data_leaves_no_directory(tmp_path, capsys):
     assert "row 4" in capsys.readouterr().err
 
 
+def test_a_cell_with_more_clients_than_rows_refuses_the_sweep(tmp_path):
+    # 40 samples leave 30 training rows; the sweep splits each cell's data
+    # with the run's own split before it makes its directory
+    resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,31"}))
+    cell = "sweep cell sweep.clients=31 sweep.rounds=1 sweep.epsilon=0.0"
+    with pytest.raises(ConfigError, match=f"^{cell}: cannot split 30 rows across 31 clients$"):
+        run_sweep(resolved, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
 def _tree_digest(root):
     """sha256 over every file's relative path and bytes, in path order."""
     files = sorted(p for p in root.rglob("*") if p.is_file())
@@ -125,7 +135,8 @@ def _tree_digest(root):
 
 
 def test_a_sweep_with_one_epsilon_keeps_its_cell_names_and_bytes(tmp_path):
-    # pinned before epsilon joined the cell names of multi-epsilon sweeps
+    # pinned before epsilon joined the cell names of multi-epsilon sweeps, and
+    # again when the dumps lost their "dataset.input_dim = 2" line, the only change
     resolved = resolve_raw(dict(MINIMAL, **{"sweep.clients": "2,3", "sweep.epsilon": "0.65"}))
     run_sweep(resolved, tmp_path / "sweep")
     assert sorted(p.name for p in (tmp_path / "sweep" / "cells").iterdir())[:2] == [
@@ -134,7 +145,7 @@ def test_a_sweep_with_one_epsilon_keeps_its_cell_names_and_bytes(tmp_path):
     ]
     assert _tree_digest(tmp_path / "sweep") == (
         25,
-        "4698b639bcc9630596d54aaee880a66477eff21d4cfb1e664ee02fa9f0215009",
+        "c9538cf986e773112ea9d235457db2ae29434dc158401f7d2b6e0033ea4d0bae",
     )
 
 
