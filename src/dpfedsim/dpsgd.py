@@ -196,6 +196,7 @@ def private_step(
     dp: DpConfig,
     noise_seed: int,
     work: dict,
+    normals: np.ndarray | None = None,
 ) -> np.ndarray:
     """One step's noisy clipped mean gradient over the trainable coordinates.
 
@@ -203,19 +204,22 @@ def private_step(
     averaged with seeded noise.  Every intermediate, the model walk's
     included, lives in the caller's workspace ``work`` (see rng.work_buffer).
     The result is one of its buffers, overwritten by the next step given the
-    same workspace.  On a wide mask the noise is drawn on the helper lane
-    while the clip takes its row norms, once the gradients are formed; the
-    draw's keys are not the clip's.
+    same workspace.  ``normals``, noise_seed's standard normals drawn
+    beforehand (see noisy_mean), are used in place of a draw.  Otherwise, on
+    a wide mask, the noise is drawn on the helper lane while the clip takes
+    its row norms, once the gradients are formed; the draw's keys are not
+    the clip's.
     """
     width = mask.trainable_count
     grads = per_sample_gradients(spec, params, batch, mask.selected_layers, work=work)
     draw = None
-    if dp.noise_multiplier != 0.0 and lane.uses_lane(width):
+    if normals is None and dp.noise_multiplier != 0.0 and lane.uses_lane(width):
         draw = lane.on_lane(box_muller, generator(noise_seed), width, work)
     try:
         clipped = clip_per_sample(grads, dp.clip_norm, work=work)
     finally:
-        normals = None if draw is None else draw.result()
+        if draw is not None:
+            normals = draw.result()
     return noisy_mean(
         clipped, dp.noise_multiplier, dp.clip_norm, noise_seed, work=work, normals=normals
     )

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lane
 from .accountant import PrivacyParams, compose_rounds, sigma_for_target
 from .aggregation import AggregationOp, aggregate
 from .comm import CommModel, RoundRecord, default_comm, round_costs
@@ -52,11 +53,14 @@ from .rng import (
     STREAM_PARTITION,
     STREAM_PUBLIC_SPLIT,
     STREAM_SELECT,
+    box_muller_rows,
     derive_seed,
     generator,
 )
 
 PARTITION_SCHEMES = ("iid", "dirichlet")
+# the most standard normals run_local draws in one Box-Muller pass
+_PASS_VALUES = 32768
 
 
 @dataclass(frozen=True)
@@ -250,10 +254,14 @@ def run_local(
     Per batch: one private_step (per-sample gradients of the trainable
     layers only, clipped, averaged with seeded Gaussian noise), applied by
     dp_step in place to one working copy of the parameters.  The step's
-    buffers live in one workspace held for this call only.  The broadcast
-    parameters are never modified; tau counts optimizer steps.  Adam's
-    moments are checked at every step, the parameters once, when the update
-    is cut: a non-finite delta raises NumericError.
+    buffers live in one workspace held for this call only.  When the steps
+    draw noise and their width keeps off the helper lane, the noise of a pass
+    of up to _PASS_VALUES values' worth of an epoch's steps is drawn in one
+    rng.box_muller_rows transform and handed to each step; wide steps draw
+    their own beside the clip.  The broadcast parameters are never modified;
+    tau counts optimizer steps.  Adam's moments are checked at every step,
+    the parameters once, when the update is cut: a non-finite delta raises
+    NumericError.
     """
     if local_epochs < 1:
         raise ShapeError("local_epochs must be >= 1")
@@ -261,16 +269,28 @@ def run_local(
     state = AdamState.zeros(mask.trainable_count) if dp.optimizer == "adam" else None
     step = 0
     work: dict = {}
+    width = mask.trainable_count
+    batched = dp.noise_multiplier != 0.0 and not lane.uses_lane(width)
+    per_pass = max(1, _PASS_VALUES // max(width, 1))  # an empty mask draws no values
     for epoch in range(1, local_epochs + 1):
-        for batch_no, batch_idx in enumerate(epoch_batches(plan_for_epoch(plan, round_index, epoch))):
-            if batch_idx.size == 0:
-                continue  # poisson sampling may draw an empty batch
-            noise_seed = derive_seed(
-                client.rng_seed, STREAM_NOISE, round_index, epoch, batch_no
-            )
-            grad = private_step(spec, w, client.data.take(batch_idx), mask, dp, noise_seed, work)
-            step += 1
-            dp_step(w, mask, grad, dp, step, state, in_place=True)
+        batches = epoch_batches(plan_for_epoch(plan, round_index, epoch))
+        steps = [  # poisson sampling may draw an empty batch, which takes no step
+            (idx, derive_seed(client.rng_seed, STREAM_NOISE, round_index, epoch, batch_no))
+            for batch_no, idx in enumerate(batches)
+            if idx.size
+        ]
+        for start in range(0, len(steps), per_pass):
+            run = steps[start : start + per_pass]
+            if batched:
+                rows = box_muller_rows([generator(key) for _, key in run], width, work)
+            else:
+                rows = [None] * len(run)
+            for (idx, noise_seed), normals in zip(run, rows):
+                grad = private_step(
+                    spec, w, client.data.take(idx), mask, dp, noise_seed, work, normals=normals
+                )
+                step += 1
+                dp_step(w, mask, grad, dp, step, state, in_place=True)
     return extract_masked_update(
         w, w_t, mask, client.client_id, round_index, tau=step, n_k=client.n_k
     )

@@ -179,5 +179,7 @@ def deserialize_update(blob: bytes, mask: PartitionMask | None = None) -> Masked
         indices = np.frombuffer(payload, dtype=INDEX, count=count).astype(np.int64)
         if np.any(indices >= total_dim):
             raise ProtocolError(f"sparse index out of range for total_dim {total_dim}")
+        if np.any(np.diff(indices) <= 0):
+            raise ProtocolError("sparse indices are not strictly increasing")
         values = np.frombuffer(payload, VALUE, count, offset=INDEX.itemsize * count).astype(np.float64)
     return MaskedUpdate(client_id, round_index, indices, values, tau, n_k)

@@ -21,6 +21,8 @@ layer that owns one of the named parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,6 +45,9 @@ ACTIVATIONS = {
 }
 
 Layout = tuple[tuple[str, int, int], ...]
+# Memoizes the walk's facts, pure functions of a spec, layout or layer set;
+# bounded, as a process may build any number of specs.  Results are immutable.
+_memo = lru_cache(maxsize=256)
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,7 @@ class _Affine(NamedTuple):
     activation: str | None = None
 
 
+@_memo
 def _stack(spec: ModelSpec) -> tuple[_Affine, ...]:
     """The model's layers, bottom first; the last one feeds the loss head."""
     row = KINDS[spec.kind]
@@ -95,6 +101,7 @@ def _stack(spec: ModelSpec) -> tuple[_Affine, ...]:
     return _Affine("hidden.weight", "hidden.bias", spec.input_dim, head_in, spec.activation), head
 
 
+@_memo
 def layer_layout(spec: ModelSpec) -> Layout:
     """Ordered (name, offset, length) ranges of the flat parameter vector."""
     layout, offset = [], 0
@@ -110,13 +117,19 @@ def parameter_count(spec: ModelSpec) -> int:
     return sum(layer.fan_out * (layer.fan_in + 1) for layer in _stack(spec))
 
 
+@_memo
+def _span_map(layout: Layout) -> MappingProxyType:
+    """Read-only name -> coordinate range map of a layout, shared by every caller."""
+    return MappingProxyType({name: slice(start, start + size) for name, start, size in layout})
+
+
 def layer_spans(layout: Layout, names=None) -> dict[str, slice]:
     """Coordinate range of each layer in ``names`` (default: all), in layout
-    order.  This is the one lookup of layer names: an unknown name is a
-    ShapeError that lists the layout's names."""
-    spans = {name: slice(offset, offset + length) for name, offset, length in layout}
+    order, as a new dict.  This is the one lookup of layer names: an unknown
+    name is a ShapeError that lists the layout's names."""
+    spans = _span_map(layout)
     if names is None:
-        return spans
+        return dict(spans)
     for name in names:
         if name not in spans:
             raise ShapeError(f"unknown layer {name!r}; layout has {list(spans)}")
@@ -219,34 +232,43 @@ def check_batch(spec: ModelSpec, batch: SampleBatch) -> None:
 
 # Loss heads map the stack's outputs z and the targets to per-sample losses,
 # predictions and the output delta dloss/dz; each KINDS row names its head.
-def _squared_error(z: np.ndarray, targets: np.ndarray):
+# Given only_delta, a head returns the delta alone, the same bytes, and forms
+# neither losses nor predictions: the gradients read nothing else.
+def _squared_error(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
     resid = z - targets.astype(np.float64)[:, None]
+    if only_delta:
+        return resid
     return 0.5 * np.sum(resid * resid, axis=1), z, resid
 
 
-def _binary_logit(z: np.ndarray, targets: np.ndarray):
+def _binary_logit(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
     z = z[:, 0]
     y = targets.astype(np.int64).astype(np.float64)
-    # -[y log p + (1-y) log(1-p)] in the overflow-safe form
-    losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     p = np.empty_like(z)  # sigmoid(z), split by sign so exp never overflows
     pos = z >= 0
     p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     p[~pos] = ez / (1.0 + ez)
-    return losses, np.column_stack([1.0 - p, p]), (p - y)[:, None]
+    delta = (p - y)[:, None]
+    if only_delta:
+        return delta
+    # -[y log p + (1-y) log(1-p)] in the overflow-safe form
+    losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    return losses, np.column_stack([1.0 - p, p]), delta
 
 
-def _softmax_cross_entropy(z: np.ndarray, targets: np.ndarray):
+def _softmax_cross_entropy(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
     # a stabilized log-sum-exp keeps losses finite for any finite parameters
     y = targets.astype(np.int64)
     rows = np.arange(z.shape[0])
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
     total = ez.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(total[:, 0])
     delta = ez / total
     delta[rows, y] -= 1.0
+    if only_delta:
+        return delta
+    lse = zmax[:, 0] + np.log(total[:, 0])
     return lse - z[rows, y], np.exp(z - lse[:, None]), delta
 
 
@@ -266,10 +288,31 @@ KINDS = {
 }
 
 
+class _Walk(NamedTuple):
+    """A walk's facts for one set of layer names (see _walk_facts)."""
+
+    columns: MappingProxyType  # each named layer's rows of the packed gradient matrix
+    width: int  # the packed rows in all
+    lowest: int  # stack index of the lowest layer backprop reaches
+
+
+@_memo
+def _walk_facts(spec: ModelSpec, names: tuple[str, ...] | None) -> _Walk:
+    """The layers ``names`` (default: all) packed in layout order, and where
+    backprop stops for them; the map is read-only, as every caller shares it."""
+    columns, width = {}, 0
+    for name, span in layer_spans(layer_layout(spec), names).items():
+        columns[name] = slice(width, width + span.stop - span.start)
+        width = columns[name].stop
+    stack = _stack(spec)
+    owners = [i for i, layer in enumerate(stack) if {layer.weight, layer.bias} & columns.keys()]
+    return _Walk(MappingProxyType(columns), width, owners[0] if owners else len(stack))
+
+
 def _walk(spec: ModelSpec, params: ParameterVector, x: np.ndarray, work: dict | None) -> list:
     """Forward pass; per layer, bottom first: (layer, W, input a, output z), z in
     the workspace ``work``.  A hidden layer's activation overwrites its z in place."""
-    steps, a, spans = [], x, layer_spans(params.layout)
+    steps, a, spans = [], x, _span_map(params.layout)
     for i, layer in enumerate(_stack(spec)):
         w = params.values[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in)
         z = work_buffer(work, ("z", i), (x.shape[0], layer.fan_out))
@@ -283,15 +326,16 @@ def _backprop(
     spec: ModelSpec, params: ParameterVector, batch: SampleBatch, names, divisor=1, work=None
 ):
     """Yield (layer, input activation, output delta) from the head down to the
-    lowest layer that owns one of ``names``; no delta is formed below it.  The
-    head's delta is divided by ``divisor`` before it is propagated.  The walk
-    and deltas live in the workspace ``work`` (fresh by default): resuming
-    overwrites a yielded activation with its derivative, the next walk the rest."""
+    lowest layer that owns one of ``names`` (None: all); no delta is formed
+    below it.  The head's delta is divided by ``divisor`` before it is
+    propagated.  The walk and deltas live in the workspace ``work`` (fresh by
+    default): resuming overwrites a yielded activation with its derivative,
+    the next walk the rest."""
+    lowest = _walk_facts(spec, None if names is None else tuple(names)).lowest
     steps = _walk(spec, params, batch.inputs, work)
-    owners = [i for i, (layer, *_) in enumerate(steps) if {layer.weight, layer.bias} & set(names)]
-    lowest = owners[0] if owners else len(steps)
-    dz = KINDS[spec.kind].head(steps[-1][3], batch.targets)[2]
-    dz /= divisor
+    dz = KINDS[spec.kind].head(steps[-1][3], batch.targets, only_delta=True)
+    if divisor != 1:
+        dz /= divisor
     for i in range(len(steps) - 1, lowest - 1, -1):
         layer, w, a, _ = steps[i]
         yield layer, a, dz
@@ -328,13 +372,11 @@ def per_sample_gradients(
     units, the first on the lane (see lane.in_halves).
     """
     _check_inputs(spec, params, batch)
-    spans, width = layer_spans(params.layout, layers), 0
-    for name, span in spans.items():  # pack the named columns
-        spans[name] = slice(width, width + span.stop - span.start)
-        width = spans[name].stop
+    layers = None if layers is None else tuple(layers)
+    spans, width, _ = _walk_facts(spec, layers)
     n = batch.size
     cols = work_buffer(work, "grads", (width, n))  # the transposed result, one row per parameter
-    for layer, a, dz in _backprop(spec, params, batch, spans, work=work):
+    for layer, a, dz in _backprop(spec, params, batch, layers, work=work):
         if layer.weight in spans:
             block = cols[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in, n)
             # transposed operands keep einsum's inner loop on contiguous memory;
@@ -370,9 +412,9 @@ def mean_gradient(
     # stack with a hidden layer divides the head's delta before backprop, a
     # single layer divides after contracting.
     before, after = (n, 1) if spec.hidden_dim else (1, n)
-    spans = layer_spans(params.layout)
+    spans = _span_map(params.layout)
     grad = np.empty(params.dim)
-    for layer, a, dz in _backprop(spec, params, batch, spans, before, work):
+    for layer, a, dz in _backprop(spec, params, batch, None, before, work):
         bias = grad[spans[layer.bias]]
         np.divide(np.sum(dz, axis=0, out=bias), after, out=bias)
         weight = grad[spans[layer.weight]].reshape(layer.fan_out, layer.fan_in)

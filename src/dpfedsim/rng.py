@@ -14,6 +14,7 @@ pins the exact output sequence to this module instead of the numpy version.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -79,19 +80,33 @@ def standard_normal(key: int, n: int, work: dict | None = None) -> np.ndarray:
 
 
 def box_muller(gen: np.random.Generator, n: int, work: dict | None = None) -> np.ndarray:
-    """Turn ``n`` pairs' worth of ``gen``'s uniforms into ``n`` standard normals.
+    """Turn ``n`` pairs' worth of ``gen``'s uniforms into ``n`` standard
+    normals: the one-row case of box_muller_rows."""
+    return box_muller_rows((gen,), n, work)[0]
 
-    Uses u1 mapped to (0, 1] so the log never sees zero.  The uniforms and
-    the result live in the workspace ``work`` (fresh by default); a reused
-    workspace gives the bytes of a fresh one, and its result is overwritten
-    by the next draw into it.
+
+def box_muller_rows(
+    gens: Sequence[np.random.Generator], n: int, work: dict | None = None
+) -> np.ndarray:
+    """Row i: ``n`` standard normals from the uniforms of ``gens[i]``, one
+    transform over every row.
+
+    Each row takes its generator's first ``n`` pairs' worth of uniforms, the
+    first half as u1, mapped to (0, 1] so the log never sees zero, and the
+    second as u2; every operation is elementwise, so a row's bytes do not
+    depend on the rows beside it.  The uniforms and the result live in the
+    workspace ``work`` (fresh by default); a reused workspace gives the bytes
+    of a fresh one, and its result is overwritten by the next draw into it.
     """
     pairs = (n + 1) // 2
-    r, theta = gen.random(out=work_buffer(work, "uniforms", (2, pairs)))
+    u = work_buffer(work, "uniforms", (len(gens), 2, pairs))
+    for gen, row in zip(gens, u):
+        gen.random(out=row)
+    r, theta = u[:, 0], u[:, 1]
     # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in place
     np.sqrt(np.multiply(np.log1p(np.negative(r, out=r), out=r), -2.0, out=r), out=r)
     np.multiply(theta, 2.0 * np.pi, out=theta)
-    z = work_buffer(work, "normals", (2, pairs))
-    np.multiply(np.cos(theta, out=z[0]), r, out=z[0])
-    np.multiply(np.sin(theta, out=z[1]), r, out=z[1])
-    return z.reshape(-1)[:n]
+    z = work_buffer(work, "normals", (len(gens), 2, pairs))
+    np.multiply(np.cos(theta, out=z[:, 0]), r, out=z[:, 0])
+    np.multiply(np.sin(theta, out=z[:, 1]), r, out=z[:, 1])
+    return z.reshape(len(gens), -1)[:, :n]

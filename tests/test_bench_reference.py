@@ -1,8 +1,8 @@
 """The benchmark's workloads at full size still give their pinned outputs.
 
 Runs perfbench/child.py (through run.py's launcher, so with BLAS on one
-thread) once per workload at the reference seed, and once traced on
-full-wide.  Nothing is written under perfbench/.
+thread) once per workload at the reference seed, and once traced on each
+workload.  Nothing is written under perfbench/.
 """
 
 import importlib
@@ -42,3 +42,15 @@ def test_traced_full_wide_still_sees_clipped_rows(bench):
     assert out["problems"] == []
     assert out["digest"] == DIGESTS["full-wide"]
     assert out["layers"]["dpsgd.clipped_rows_frac"] > 0
+
+
+def test_traced_head_wide_takes_one_gradient_and_one_clip_per_step(bench):
+    # 3 rounds x 10 clients x 9 batches of 64; drawing the narrow steps'
+    # noise in passes leaves one gradient and one clip call per step
+    out = bench.run_child("head-wide", bench.REFERENCE_SEED, trace=True, spans=None)
+    assert out["problems"] == []
+    assert out["digest"] == DIGESTS["head-wide"]
+    layers = out["layers"]
+    assert layers["models.per_sample_gradients.calls"] == 90
+    assert layers["dpsgd.clip_per_sample.calls"] == 90
+    assert layers["rng.standard_normal.calls"] == 0

@@ -29,7 +29,6 @@ from dpfedsim import (
     per_sample_gradients,
     run_experiment,
     run_local,
-    standard_normal,
 )
 from dpfedsim import dpsgd, federation, models
 from dpfedsim.comm import render_rounds_table
@@ -267,17 +266,14 @@ def test_run_local_builds_no_parameter_vector_per_step(monkeypatch):
 
 
 def test_run_local_reuses_its_noise_and_mean_buffers(monkeypatch):
+    # a narrow step is handed its row of the pass's normals
     draws, means = [], []
 
-    def drawing(key, n, work=None):
-        draws.append(standard_normal(key, n, work=work))
-        return draws[-1]
-
     def averaging(*args, **kwargs):
+        draws.append(kwargs["normals"])
         means.append(noisy_mean(*args, **kwargs))
         return means[-1]
 
-    monkeypatch.setattr(dpsgd, "standard_normal", drawing)
     monkeypatch.setattr(dpsgd, "noisy_mean", averaging)
     data = blob_data(60, seed=8)
     (shard,) = partition_data(data, 1, "iid", seed=0)
@@ -288,11 +284,12 @@ def test_run_local_reuses_its_noise_and_mean_buffers(monkeypatch):
     assert update.tau == len(draws) == len(means) > 1
     for draw, mean in zip(draws, means):
         assert draw.shape == mean.shape == (mask.trainable_count,)
-        assert np.shares_memory(draw, draws[0]) and np.shares_memory(mean, means[0])
+        # each step's normals are a row of the one buffer the passes reuse
+        assert np.shares_memory(draw.base, draws[0].base) and np.shares_memory(mean, means[0])
         assert not np.shares_memory(draw, mean)
     # the next client starts a workspace of its own
     run_local(MLP, shard, w, mask, DpConfig(1.0, 0.5, 0.1), plan, 1, 1)
-    assert not np.shares_memory(draws[-1], draws[0])
+    assert not np.shares_memory(draws[-1].base, draws[0].base)
 
 
 # ---------------------------------------------------------------- evaluate

@@ -199,8 +199,8 @@ def test_the_lane_keeps_no_workspace_buffer_alive(lane_on, monkeypatch):
     refs = []
     step = federation.private_step
 
-    def recording(spec, params, batch, mask, dp, noise_seed, work):
-        grad = step(spec, params, batch, mask, dp, noise_seed, work)
+    def recording(spec, params, batch, mask, dp, noise_seed, work, normals=None):
+        grad = step(spec, params, batch, mask, dp, noise_seed, work, normals=normals)
         refs.extend(weakref.ref(work[key]) for key in ("grads", "clipped", "normals"))
         return grad
 

@@ -22,6 +22,7 @@ from dpfedsim import (
     serialize_update,
 )
 from dpfedsim.errors import NumericError, ProtocolError
+from dpfedsim.masking import BODY, HEADER, INDEX
 
 RNG = np.random.default_rng
 
@@ -259,6 +260,18 @@ def test_deserialize_rejects_sparse_index_out_of_range():
     last = MaskedUpdate(1, 2, np.array([0, DIM - 1]), np.array([0.5, 0.5]), 2, 9)
     back = deserialize_update(serialize_update(last, DIM, "sparse-idx32-f32"))
     assert back.indices.tolist() == [0, DIM - 1]
+
+
+def test_deserialize_rejects_sparse_indices_out_of_order():
+    # a hand-built blob: serialize_update only sends a valid MaskedUpdate
+    good = MaskedUpdate(1, 2, np.array([3, 5]), np.array([0.5, -0.5]), 2, 9)
+    blob = serialize_update(good, total_dim=DIM, encoding="sparse-idx32-f32")
+    body = HEADER.size + BODY.size
+    for indices in ([5, 3], [4, 4]):
+        bad = blob[:body] + np.array(indices, dtype=INDEX).tobytes() + blob[body + 8 :]
+        with pytest.raises(ProtocolError, match="strictly increasing"):
+            deserialize_update(bad)
+    assert deserialize_update(blob).indices.tolist() == [3, 5]
 
 
 def test_deserialize_rejects_bad_magic_and_size():

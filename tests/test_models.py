@@ -29,6 +29,7 @@ from dpfedsim import models
 from dpfedsim.dpsgd import clip_per_sample, noisy_mean
 from dpfedsim.federation import evaluate
 from dpfedsim.masking import make_mask
+from dpfedsim.models import layer_spans
 from dpfedsim.rng import work_buffer
 
 RNG = np.random.default_rng
@@ -603,3 +604,53 @@ def test_the_walk_keeps_its_pinned_bytes(activation, quantity):
     for n in (1, 7, 64, 480):
         digest.update(pinned_bytes(quantity, *pin_instance(activation, n), work))
     assert digest.hexdigest() == WALK_PINS[activation, quantity]
+
+
+# ------------------------------------------------ delta-only head, memoized facts
+
+
+@pytest.mark.parametrize("name", list(WORK_SPECS))
+def test_the_delta_only_head_gives_the_bytes_of_the_full_head(name):
+    spec = WORK_SPECS[name]
+    head = models.KINDS[spec.kind].head
+    for n in (1, 7, 64):
+        params, batch = work_instance(spec, n, seed=n)
+        z = models._walk(spec, params, batch.inputs, None)[-1][3]
+        z[n // 3 :: 3] = 0.0  # rows of +-0
+        z[n // 2 :: 5] = -0.0
+        if spec.kind == "logistic" and n == 64:
+            assert (z > 0).any() and (z < 0).any()  # logits of both signs
+        full = head(z.copy(), batch.targets)[2]
+        delta = head(z.copy(), batch.targets, only_delta=True)
+        assert delta.shape == full.shape == (n, z.shape[1])
+        assert delta.tobytes() == full.tobytes()
+
+
+def test_equal_specs_share_one_layout_and_layer_spans_stays_fresh():
+    a = ModelSpec("mlp", input_dim=5, output_dim=3, hidden_dim=4)
+    b = ModelSpec("mlp", input_dim=5, output_dim=3, hidden_dim=4)
+    assert a is not b and layer_layout(a) is layer_layout(b)
+    expected = {name: slice(start, start + size) for name, start, size in layer_layout(a)}
+    spans = layer_spans(layer_layout(a))
+    assert spans == expected
+    spans["head.bias"] = slice(0, 0)  # the caller's own dict
+    del spans["hidden.weight"]
+    assert layer_spans(layer_layout(b)) == expected
+    assert layer_spans(layer_layout(b), ["head.bias"]) == {"head.bias": expected["head.bias"]}
+
+
+def test_two_layer_sets_in_one_workspace_give_the_bytes_of_fresh_calls():
+    spec = WORK_SPECS["mlp-relu"]
+    sets = (("head.weight", "head.bias"), ["hidden.bias", "head.weight"], None, ("head.bias",))
+    work = {}
+    for n in (5, 9, 5):
+        params, batch = work_instance(spec, n, seed=n)
+        for layers in sets * 2:
+            fresh = per_sample_gradients(spec, params, batch, layers=layers)
+            got = per_sample_gradients(spec, params, batch, layers=layers, work=work)
+            assert got.tobytes() == fresh.tobytes()
+            cols = make_mask(params.layout, layers or [name for name, _, _ in params.layout])
+            assert np.array_equal(fresh, per_sample_gradients(spec, params, batch)[:, cols.indices])
+    assert layer_spans(params.layout) == {
+        name: slice(start, start + size) for name, start, size in params.layout
+    }
