@@ -341,31 +341,13 @@ def client_shards(
     return public, shards
 
 
-def _sampler_plan(cfg: ExperimentConfig, shard: ClientShard) -> SamplerPlan:
-    """How a client batches its shard; the plan's sampling ratio is the one
-    the accountant charges it."""
-    return SamplerPlan(
-        mode=cfg.sampler_mode,
-        batch_size=min(cfg.batch_size, shard.n_k),
-        dataset_size=shard.n_k,
-        seed=shard.rng_seed,
-    )
-
-
-def sigma_for_shards(cfg: ExperimentConfig, shards: list[ClientShard]) -> float:
-    """Noise multiplier at which the most-sampled shard spends cfg.target_epsilon
-    in rounds * local_epochs epochs; no other shard spends more."""
-    q = max(_sampler_plan(cfg, shard).sampling_ratio for shard in shards)
-    return sigma_for_target(q, cfg.rounds * cfg.local_epochs, cfg.delta, cfg.target_epsilon)
-
-
-def _client_epsilon(cfg: ExperimentConfig, shard: ClientShard, rounds_participated: int) -> float:
-    if rounds_participated == 0:
-        return 0.0
+def _client_epsilon(cfg: ExperimentConfig, plan: SamplerPlan, rounds_participated: int) -> float:
+    """What a client's plan has cost it so far: inf without noise, else
+    compose_rounds (0 before its first round)."""
     if cfg.dp.noise_multiplier == 0.0:
         return math.inf
     per_round = PrivacyParams(
-        sampling_ratio=_sampler_plan(cfg, shard).sampling_ratio,
+        sampling_ratio=plan.sampling_ratio,
         noise_multiplier=cfg.dp.noise_multiplier,
         epochs=cfg.local_epochs,
         delta=cfg.delta,
@@ -378,13 +360,20 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute the full protocol and return per-round records plus the model.
 
-    A run with a target_epsilon trains at the noise multiplier solved from
-    its own client shards.  On numeric divergence the run stops and returns
-    the partial record list with the error message attached.
+    Each shard's SamplerPlan is built once: local training batches by it,
+    and a target_epsilon's noise multiplier and every round's epsilon charge
+    its sampling ratio.  On numeric divergence the run stops and returns the
+    partial record list with the error message attached.
     """
     public, shards = client_shards(cfg, train_data)
-    if cfg.target_epsilon is not None:
-        cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma_for_shards(cfg, shards)))
+    plans = [
+        SamplerPlan(cfg.sampler_mode, min(cfg.batch_size, s.n_k), s.n_k, s.rng_seed)
+        for s in shards
+    ]
+    if cfg.target_epsilon is not None:  # the most-sampled shard spends it, the rest less
+        q = max(plan.sampling_ratio for plan in plans)
+        sigma = sigma_for_target(q, cfg.rounds * cfg.local_epochs, cfg.delta, cfg.target_epsilon)
+        cfg = replace(cfg, dp=replace(cfg.dp, noise_multiplier=sigma))
     w = initial_params(cfg, public)
     mask = make_mask(layer_layout(cfg.model), cfg.resolved_mask_layers())
     comm = cfg.comm or default_comm(cfg.model)
@@ -394,12 +383,10 @@ def run_experiment(
     for t in range(cfg.rounds):
         selected = _select_participants(cfg, t)
         try:
-            updates = []
+            updates = []  # not a comprehension: this frees last round's updates first
             for cid in selected:
-                shard = shards[cid]
-                plan = _sampler_plan(cfg, shard)
                 updates.append(
-                    run_local(cfg.model, shard, w, mask, cfg.dp, plan, cfg.local_epochs, t)
+                    run_local(cfg.model, shards[cid], w, mask, cfg.dp, plans[cid], cfg.local_epochs, t)
                 )
             w = aggregate(w, updates, cfg.aggregation)
         except NumericError as exc:
@@ -409,7 +396,7 @@ def run_experiment(
             participation[cid] += 1
         metrics = evaluate(cfg.model, w, test_data)
         epsilon = max(
-            _client_epsilon(cfg, shards[k], participation[k]) for k in range(cfg.clients)
+            _client_epsilon(cfg, plans[k], participation[k]) for k in range(cfg.clients)
         )
         sizes = [shards[k].n_k for k in selected]
         costs = round_costs(

@@ -182,4 +182,6 @@ def deserialize_update(blob: bytes, mask: PartitionMask | None = None) -> Masked
         if np.any(np.diff(indices) <= 0):
             raise ProtocolError("sparse indices are not strictly increasing")
         values = np.frombuffer(payload, VALUE, count, offset=INDEX.itemsize * count).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ProtocolError("update values on the wire must be finite")
     return MaskedUpdate(client_id, round_index, indices, values, tau, n_k)

@@ -369,6 +369,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra, sets, message",
+    [
+        (["clients"], [], "exp.cfg:7: expected 'key = value', got 'clients'"),
+        (["clients = 3"], [], "exp.cfg:7: duplicate key 'clients'"),
+        ([], ["--set", "clients"], "override must look like key=value, got 'clients'"),
+    ],
+)
+def test_cli_refuses_a_malformed_line_or_override(tmp_path, capsys, extra, sets, message):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, extra=extra)
+    assert run_cli(["federated", "--config", str(cfg), *sets, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_adam_overflow_fails_loudly(tmp_path, capsys):
     # sigma = 1e200 overflows Adam's second moment to inf, which used to turn
     # every update into 0: training stalled while the run reported success

@@ -74,13 +74,24 @@ REJECTED = {
         "pretrain.public_fraction": "0.25",
         "pretrain.lr": "nan",
     },
+    # out of bounds: delta, an Adam decay rate and the public share lie below 1
+    "privacy.delta=1": {"privacy.delta": "1"},
+    "dp.adam_beta1=1": {"dp.optimizer": "adam", "dp.adam_beta1": "1"},
+    "pretrain.public_fraction=1": {"pretrain.public_fraction": "1"},
+    "rounds=-1": {"rounds": "-1"},  # and rounds at or above 0
+    # values that do not parse as their type
+    "comm.masked_broadcast=maybe": {"comm.masked_broadcast": "maybe"},
+    "comm.full_model_bytes=lots": {"comm.full_model_bytes": "lots"},
+    # data too small to learn from: one class, or one sample
+    "dataset.classes=1": {"dataset.classes": "1"},
+    "dataset.samples=1": {"dataset.samples": "1"},
 }
 
 # rejected while the raw values are mapped, not first when data is loaded or run
 AT_RESOLVE = sorted(
     set(REJECTED)
     - {"dataset.generator", "dataset.noise_std=nan", "dataset.test_fraction", "clients-over-rows"}
-    - {"dataset.classes"}  # when the data is loaded
+    - {"dataset.classes", "dataset.classes=1", "dataset.samples=1"}  # when the data is loaded
     - {"clients-over-rows-with-target"}  # at the run's sigma solve
 )
 

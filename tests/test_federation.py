@@ -16,10 +16,12 @@ from dpfedsim import (
     ModelSpec,
     SampleBatch,
     SamplerPlan,
+    PrivacyParams,
     Seeds,
     ShapeError,
     aggregate,
     clip_per_sample,
+    compose_rounds,
     evaluate,
     init_params,
     make_mask,
@@ -29,6 +31,7 @@ from dpfedsim import (
     per_sample_gradients,
     run_experiment,
     run_local,
+    sigma_for_target,
 )
 from dpfedsim import dpsgd, federation, models
 from dpfedsim.comm import render_rounds_table
@@ -448,6 +451,60 @@ def test_epsilon_monotone_and_closed_form():
     per_round = PrivacyParams(6 / n_k, 0.5, 2, cfg.delta)
     for t, r in enumerate(result.records, start=1):
         assert r.epsilon_to_date == pytest.approx(compose_rounds(per_round, t).epsilon, rel=1e-12)
+
+
+@pytest.mark.parametrize("target", [None, 2.0])
+@pytest.mark.parametrize("fraction", [1.0, 0.6])
+@pytest.mark.parametrize("sampler", ["shuffle", "poisson"])
+@pytest.mark.parametrize("partition", ["iid", "dirichlet"])
+def test_each_round_charges_every_shard_its_own_ratio_for_the_rounds_it_took(
+    monkeypatch, partition, sampler, fraction, target
+):
+    # recomputed from who trained on how many rows in which round, as
+    # perfbench/child.py's shim notes it; dirichlet shards differ in size,
+    # and at 0.6 two of five clients sit out each round
+    train, test = split_train_test(blob_data(160, seed=5), 0.25, 0)
+    cfg = base_config(
+        clients=5,
+        rounds=4,
+        partition=partition,
+        sampler_mode=sampler,
+        participation_fraction=fraction,
+        target_epsilon=target,
+    )
+    calls = []
+
+    def logged(*args, **kwargs):
+        update = run_local(*args, **kwargs)
+        calls.append((update.client_id, update.n_k, update.round_index))
+        return update
+
+    monkeypatch.setattr(federation, "run_local", logged)
+    result = run_experiment(cfg, train, test)
+    assert result.error is None and len(result.records) == cfg.rounds
+    sigma = result.noise_multiplier
+    if target is None:
+        assert sigma == cfg.dp.noise_multiplier
+    else:
+        _, shards = federation.client_shards(cfg, train)
+        q = max(min(cfg.batch_size, s.n_k) / s.n_k for s in shards)
+        assert sigma == sigma_for_target(q, cfg.rounds * cfg.local_epochs, cfg.delta, target)
+    taken, n_k = {}, {}
+    for record in result.records:
+        for k, n, t in calls:
+            if t == record.round_index:
+                taken[k] = taken.get(k, 0) + 1
+                n_k[k] = n
+        expected = max(
+            compose_rounds(
+                PrivacyParams(min(cfg.batch_size, n_k[k]) / n_k[k], sigma, cfg.local_epochs, cfg.delta),
+                r,
+            ).epsilon
+            for k, r in taken.items()
+        )
+        assert record.epsilon_to_date == expected
+    assert (len(set(n_k.values())) > 1) == (partition == "dirichlet")
+    assert (len(calls) < cfg.clients * cfg.rounds) == (fraction < 1.0)
 
 
 def test_a_target_is_the_budget_spent_on_the_library_path():

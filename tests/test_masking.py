@@ -22,7 +22,7 @@ from dpfedsim import (
     serialize_update,
 )
 from dpfedsim.errors import NumericError, ProtocolError
-from dpfedsim.masking import BODY, HEADER, INDEX
+from dpfedsim.masking import BODY, HEADER, INDEX, MAGIC, VALUE, WIRE_VERSION
 
 RNG = np.random.default_rng
 
@@ -272,6 +272,61 @@ def test_deserialize_rejects_sparse_indices_out_of_order():
         with pytest.raises(ProtocolError, match="strictly increasing"):
             deserialize_update(bad)
     assert deserialize_update(blob).indices.tolist() == [3, 5]
+
+
+def _blob(encoding="dense-f32"):
+    """A valid blob of a head update, and its mask."""
+    mask = make_mask(LAYOUT, ["head.weight", "head.bias"])
+    update = extract_masked_update(random_params(10), random_params(9), mask, 1, 2, 2, 9)
+    return serialize_update(update, total_dim=DIM, encoding=encoding), mask
+
+
+@pytest.mark.parametrize("encoding", ["dense-f32", "sparse-idx32-f32"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_deserialize_rejects_non_finite_values_as_a_protocol_error(encoding, value):
+    # a hand-built blob: its last value on the wire overwritten
+    blob, mask = _blob(encoding)
+    bad = blob[: -VALUE.itemsize] + np.array([value], dtype=VALUE).tobytes()
+    with pytest.raises(ProtocolError, match="finite") as caught:
+        deserialize_update(bad, mask)
+    assert not isinstance(caught.value, NumericError)
+    assert np.array_equal(deserialize_update(blob, mask).indices, mask.indices)
+
+
+def test_deserialize_rejects_a_blob_shorter_than_header_and_body():
+    blob, mask = _blob()
+    with pytest.raises(ProtocolError, match="shorter than the fixed header"):
+        deserialize_update(blob[: HEADER.size + BODY.size - 1], mask)
+
+
+@pytest.mark.parametrize(
+    "version, code, message",
+    [(WIRE_VERSION + 1, 1, "unsupported wire version 2"), (WIRE_VERSION, 3, "unknown encoding code 3")],
+)
+def test_deserialize_rejects_an_unknown_version_or_encoding_code(version, code, message):
+    blob, mask = _blob()
+    bad = HEADER.pack(MAGIC, version, code, 1, 2) + blob[HEADER.size :]
+    with pytest.raises(ProtocolError, match=message):
+        deserialize_update(bad, mask)
+
+
+def test_deserialize_rejects_a_dense_blob_read_with_a_mask_of_another_size():
+    blob, _ = _blob()
+    with pytest.raises(ProtocolError, match="mask does not match"):
+        deserialize_update(blob, make_mask(LAYOUT, ["head.bias"]))
+
+
+def test_deserialize_rejects_a_dense_payload_of_the_wrong_length():
+    blob, mask = _blob()
+    for bad in (blob[: -VALUE.itemsize], blob + bytes(VALUE.itemsize)):
+        with pytest.raises(ProtocolError, match="dense payload has the wrong size"):
+            deserialize_update(bad, mask)
+
+
+def test_serialize_rejects_an_unknown_encoding():
+    update = MaskedUpdate(1, 2, np.array([3, 5]), np.array([0.5, -0.5]), 2, 9)
+    with pytest.raises(ShapeError, match="unknown encoding 'dense-f16'"):
+        serialize_update(update, DIM, "dense-f16")
 
 
 def test_deserialize_rejects_bad_magic_and_size():
