@@ -4,7 +4,9 @@ Subcommands: centralized, federated, accountant, sweep, report.  Runs write
 a resolved-config dump, the per-round table, and a summary into a
 timestamped, seed-stamped directory under --out (or $DPFEDSIM_OUT, default
 ./runs).  Exit codes: 0 ok, 2 invalid configuration or arguments, 3 runtime
-failure, 4 I/O failure.
+failure, 4 I/O failure.  Any error raised inside a round ends the run with
+its partial result, written like any other, and exit 3; FedNova's refusal
+of a client that took no local step is the known case.
 """
 
 from __future__ import annotations

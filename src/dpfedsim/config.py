@@ -4,17 +4,19 @@ Every key has one schema row: its type, its default and the field it sets.
 Unknown keys are rejected rather than ignored, in files, raw tables and
 --set overrides alike.  parse_config resolves a file plus overrides into a
 fully-populated value table and an ExperimentConfig.  This module only maps
-keys onto the dataclasses, which check their own rules; it checks the
-dataset source, and load_dataset that the model takes the data; what either
-rejects is raised as a ConfigError.  Resolution loads no data: load_dataset
-builds the (train, test) split, and a run with privacy.target_epsilon solves
-its noise multiplier from its own client shards.  The dump format is
-versioned and round-trips to an identical configuration.
+keys onto the dataclasses, which check their own rules.  resolve_raw checks
+each rule that needs no data: the dataset source and path, and the generated
+dataset's generator, classes, samples and noise, whose spec it keeps.
+Resolution loads no data: load_dataset checks the rest, that the model takes
+the data's classes, the test split and a data file's contents, and a run
+with privacy.target_epsilon solves its noise multiplier from its own client
+shards.  The dump format is versioned and round-trips to an identical
+configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .aggregation import AggregationOp
@@ -89,10 +91,11 @@ SCHEMA: dict[str, tuple[str, object, str | None]] = {
 
 @dataclass
 class ResolvedConfig:
-    """Fully-defaulted value table and the experiment it encodes."""
+    """Fully-defaulted value table, the experiment it encodes and its generated data's spec."""
 
     values: dict[str, object]
     experiment: ExperimentConfig
+    dataset: SyntheticDatasetSpec | None
 
     @property
     def name(self) -> str:
@@ -107,8 +110,8 @@ class ResolvedConfig:
         echoes the noise multiplier the run used (solved when it had a target).
         Returns the summary."""
         summary = write_records(result.records, run_dir)
-        self.values["dp.noise_multiplier"] = result.noise_multiplier
-        (run_dir / RESOLVED_FILE).write_text(self.dump())
+        ran = replace(self, values={**self.values, "dp.noise_multiplier": result.noise_multiplier})
+        (run_dir / RESOLVED_FILE).write_text(ran.dump())
         return summary
 
 
@@ -195,12 +198,11 @@ def resolve_raw(
             raise ConfigError(f"missing required key {key!r}")
         else:
             values[key] = default(values) if callable(default) else default
-    _check_dataset_source(values)
     try:
-        experiment = _build_experiment(values)
+        experiment, dataset = _build_experiment(values)
     except (ShapeError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    return ResolvedConfig(values=values, experiment=experiment)
+    return ResolvedConfig(values=values, experiment=experiment, dataset=dataset)
 
 
 def rendered_raw(resolved: ResolvedConfig) -> dict[str, str]:
@@ -208,13 +210,17 @@ def rendered_raw(resolved: ResolvedConfig) -> dict[str, str]:
     return {key: render_value(resolved.values[key]) for key in SCHEMA}
 
 
-def _check_dataset_source(values: dict[str, object]) -> None:
+def _dataset_spec(values: dict, fields: dict, model: ModelSpec) -> SyntheticDatasetSpec | None:
+    """The generated dataset's spec, as wide as the model; None for a data file."""
     source = values["dataset.source"]
-    if source not in ("synthetic", "file"):
+    if source == "synthetic":
+        return SyntheticDatasetSpec(**fields, input_dim=model.input_dim)
+    if source != "file":
         raise ConfigError("dataset.source: must be synthetic or file")
     path = Path(values["dataset.path"])
-    if source == "file" and not path.is_file():
+    if not path.is_file():
         raise ConfigError(f"dataset.path: file not found: {path}")
+    return None
 
 
 def _fields(values: dict[str, object]) -> dict[str, dict[str, object]]:
@@ -228,9 +234,10 @@ def _fields(values: dict[str, object]) -> dict[str, dict[str, object]]:
     return groups
 
 
-def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
+def _build_experiment(values: dict) -> tuple[ExperimentConfig, SyntheticDatasetSpec | None]:
     groups = _fields(values)
     model = ModelSpec(**groups["model"])
+    dataset = _dataset_spec(values, groups["dataset"], model)
     top = groups[""]
     mask_value = top["mask_layers"].strip()
     if mask_value in ("all", ""):
@@ -252,20 +259,17 @@ def _build_experiment(values: dict[str, object]) -> ExperimentConfig:
     dp = DpConfig(**groups["dp"])
     top["target_epsilon"] = top["target_epsilon"] or None
     top["aggregation"] = AggregationOp(top["aggregation"])
-    return ExperimentConfig(model=model, dp=dp, seeds=Seeds(**groups["seeds"]), comm=comm, **top)
+    experiment = ExperimentConfig(model=model, dp=dp, seeds=Seeds(**groups["seeds"]), comm=comm, **top)
+    return experiment, dataset
 
 
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
-    """(train, test) splits of a configuration, whose model must take the data;
-    generated data is as wide as the model's input."""
-    values, model = resolved.values, resolved.experiment.model
-    dataset = _fields(values)["dataset"]
-    if values["dataset.source"] == "synthetic":
-        full = make_dataset(SyntheticDatasetSpec(**dataset, input_dim=model.input_dim))
-    else:
-        full = load_delimited(values["dataset.path"])
+    """(train, test) splits of a configuration, whose model must take the data:
+    generated from its spec, or read from its data file."""
+    values, spec = resolved.values, resolved.dataset
+    full = load_delimited(values["dataset.path"]) if spec is None else make_dataset(spec)
     try:
-        check_batch(model, full)
+        check_batch(resolved.experiment.model, full)
     except ShapeError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
-    return split_train_test(full, values["dataset.test_fraction"], dataset["seed"])
+    return split_train_test(full, values["dataset.test_fraction"], values["dataset.seed"])

@@ -34,7 +34,7 @@ from .dpsgd import (
     plan_for_epoch,
     private_step,
 )
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DpFedSimError, ShapeError
 from .masking import DEFAULT_ENCODING, ENCODINGS, MaskedUpdate, PartitionMask
 from .masking import extract_masked_update, make_mask
 from .models import (
@@ -362,8 +362,8 @@ def run_experiment(
 
     Each shard's SamplerPlan is built once: local training batches by it,
     and a target_epsilon's noise multiplier and every round's epsilon charge
-    its sampling ratio.  On numeric divergence the run stops and returns the
-    partial record list with the error message attached.
+    its sampling ratio.  Any DpFedSimError inside a round stops the run,
+    which returns the partial record list with the error message attached.
     """
     public, shards = client_shards(cfg, train_data)
     plans = [
@@ -389,7 +389,7 @@ def run_experiment(
                     run_local(cfg.model, shards[cid], w, mask, cfg.dp, plans[cid], cfg.local_epochs, t)
                 )
             w = aggregate(w, updates, cfg.aggregation)
-        except NumericError as exc:
+        except DpFedSimError as exc:
             error = f"round {t}: {exc}"
             break
         for cid in selected:

@@ -230,15 +230,15 @@ def check_batch(spec: ModelSpec, batch: SampleBatch) -> None:
             )
 
 
-# Loss heads map the stack's outputs z and the targets to per-sample losses,
-# predictions and the output delta dloss/dz; each KINDS row names its head.
-# Given only_delta, a head returns the delta alone, the same bytes, and forms
-# neither losses nor predictions: the gradients read nothing else.
+# Loss heads map the stack's outputs z and the targets to per-sample losses
+# and predictions; each KINDS row names its head.  Given only_delta, a head
+# returns the output delta dloss/dz alone and forms neither losses nor
+# predictions: the gradients read nothing else.
 def _squared_error(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
     resid = z - targets.astype(np.float64)[:, None]
     if only_delta:
         return resid
-    return 0.5 * np.sum(resid * resid, axis=1), z, resid
+    return 0.5 * np.sum(resid * resid, axis=1), z
 
 
 def _binary_logit(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
@@ -249,12 +249,11 @@ def _binary_logit(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
     p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     p[~pos] = ez / (1.0 + ez)
-    delta = (p - y)[:, None]
     if only_delta:
-        return delta
+        return (p - y)[:, None]
     # -[y log p + (1-y) log(1-p)] in the overflow-safe form
     losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return losses, np.column_stack([1.0 - p, p]), delta
+    return losses, np.column_stack([1.0 - p, p])
 
 
 def _softmax_cross_entropy(z: np.ndarray, targets: np.ndarray, only_delta: bool = False):
@@ -264,12 +263,12 @@ def _softmax_cross_entropy(z: np.ndarray, targets: np.ndarray, only_delta: bool 
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
     total = ez.sum(axis=1, keepdims=True)
-    delta = ez / total
-    delta[rows, y] -= 1.0
     if only_delta:
+        delta = ez / total
+        delta[rows, y] -= 1.0
         return delta
     lse = zmax[:, 0] + np.log(total[:, 0])
-    return lse - z[rows, y], np.exp(z - lse[:, None]), delta
+    return lse - z[rows, y], np.exp(z - lse[:, None])
 
 
 class _Kind(NamedTuple):
@@ -352,7 +351,7 @@ def forward(
     (shape [batch x output_dim]), raw outputs for regression."""
     _check_inputs(spec, params, batch)
     z = _walk(spec, params, batch.inputs, None)[-1][3]  # fresh: the linear head returns z itself
-    return KINDS[spec.kind].head(z, batch.targets)[:2]
+    return KINDS[spec.kind].head(z, batch.targets)
 
 
 def per_sample_gradients(

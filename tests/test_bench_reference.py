@@ -45,7 +45,7 @@ def test_traced_full_wide_still_sees_clipped_rows(bench):
 
 
 def test_traced_head_wide_takes_one_gradient_and_one_clip_per_step(bench):
-    # 3 rounds x 10 clients x 9 batches of 64; drawing the narrow steps'
+    # 3 rounds x 10 clients x 3 batches of 64; drawing the narrow steps'
     # noise in passes leaves one gradient and one clip call per step
     out = bench.run_child("head-wide", bench.REFERENCE_SEED, trace=True, spans=None)
     assert out["problems"] == []

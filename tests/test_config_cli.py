@@ -8,6 +8,7 @@ import pytest
 from dpfedsim import ConfigError, ShapeError, parse_config, resolve_raw, run_experiment, sigma_for_target
 from dpfedsim import NumericError, sweep
 from dpfedsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
+from dpfedsim.comm import read_summary, render_rounds_table
 from dpfedsim.config import load_dataset, rendered_raw
 from dpfedsim.rng import STREAM_SWEEP, derive_seed
 from dpfedsim.sweep import run_sweep, sweep_grid, with_overrides
@@ -147,6 +148,27 @@ def test_non_finite_data_file_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ShapeError, match="row 4"):
         load_dataset(parse_config(nan_cell_cfg(tmp_path, ["privacy.target_epsilon = 1.0"])))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            ["%f,%f,%s" % (i * 0.1, -i * 0.2, "0.5" if i == 3 else i % 2) for i in range(40)],
+            "dataset: classification targets must be integer class indices",
+        ),
+        ([str(i % 2) for i in range(40)], "need at least one feature column plus the label column"),
+    ],
+    ids=["fractional-label", "one-column"],
+)
+def test_a_data_file_the_model_cannot_read_is_a_config_error(tmp_path, capsys, rows, message):
+    csv = tmp_path / "rows.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, ["dataset.source = file", f"dataset.path = {csv}"])
+    out = tmp_path / "out"
+    assert run_cli(["federated", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_target_epsilon_materializes_the_data_once(tmp_path, monkeypatch):
@@ -358,6 +380,22 @@ def test_cli_accountant_forward_and_inverse(capsys):
     assert code == EXIT_OK
 
 
+def test_the_report_skips_a_run_without_its_resolved_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra=["dataset.samples = 60", "local_epochs = 1"])
+    out = tmp_path / "out"
+    assert run_cli(["federated", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    (run_dir,) = out.iterdir()
+    orphan = out / "orphan"
+    orphan.mkdir()
+    (orphan / "summary.txt").write_bytes((run_dir / "summary.txt").read_bytes())
+    capsys.readouterr()
+    assert run_cli(["report", "--out", str(out)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [run_dir.name]
+    assert run_cli(["report", "--out", str(orphan)]) == EXIT_IO  # no completed run left
+    assert "no completed runs" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["federated", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
     cfg = write_cfg(tmp_path)
@@ -426,6 +464,25 @@ def test_sgd_divergence_fails_loudly(tmp_path, capsys, extra, diverged_in):
     assert result.error is not None and result.error.startswith(f"round {diverged_in}: ")
     assert len(result.records) == diverged_in < resolved.experiment.rounds
     assert code == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("aggregation", ["fednova", "fedavg"])
+def test_an_error_inside_a_round_exits_3_with_its_run_directory(tmp_path, capsys, aggregation):
+    # client 7 holds 2 rows and draws no poisson batch of 1 in round 0: fednova
+    # refuses its tau = 0, fedavg takes its empty update
+    extra = ["batch_size = 1", "dataset.samples = 28", "sampler = poisson", f"aggregation = {aggregation}"]
+    cfg = write_cfg(tmp_path, extra, base=dict(MINIMAL, clients="10"))
+    out = tmp_path / "out"
+    code = run_cli(["federated", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    (run_dir,) = out.iterdir()
+    if aggregation == "fedavg":
+        assert code == EXIT_OK and "error=" not in err
+        return
+    assert code == EXIT_RUNTIME
+    assert "error=round 0: client 7 reports tau = 0 < 1" in err
+    assert (run_dir / "rounds.csv").read_text() == render_rounds_table([])  # the header alone
+    assert read_summary(run_dir / "summary.txt")["rounds"] == "0"
 
 
 def test_cli_sweep(tmp_path, capsys):

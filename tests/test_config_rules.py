@@ -6,7 +6,7 @@ import pytest
 
 from dpfedsim import ConfigError, DpFedSimError, parse_config, resolve_raw, run_experiment
 from dpfedsim.cli import EXIT_CONFIG, EXIT_OK, main
-from dpfedsim.config import RESOLVED_FILE, load_dataset
+from dpfedsim.config import RESOLVED_FILE, load_dataset, rendered_raw
 
 BASE = {
     "model.kind": "mlp",
@@ -90,8 +90,7 @@ REJECTED = {
 # rejected while the raw values are mapped, not first when data is loaded or run
 AT_RESOLVE = sorted(
     set(REJECTED)
-    - {"dataset.generator", "dataset.noise_std=nan", "dataset.test_fraction", "clients-over-rows"}
-    - {"dataset.classes", "dataset.classes=1", "dataset.samples=1"}  # when the data is loaded
+    - {"dataset.classes", "dataset.test_fraction", "clients-over-rows"}  # when the data is loaded
     - {"clients-over-rows-with-target"}  # at the run's sigma solve
 )
 
@@ -157,6 +156,14 @@ def test_accountant_rejects_a_nan_budget(flag, capsys):
     assert "epsilon=" not in captured.out
 
 
+@pytest.mark.parametrize("flags", [["--sigma", "1", "--target-epsilon", "1"], []], ids=["both", "neither"])
+def test_accountant_takes_exactly_one_of_sigma_and_a_target(flags, capsys):
+    assert main(["accountant", "--q", "0.1", *flags, "--epochs", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error: give exactly one of --sigma or --target-epsilon" in captured.err
+    assert captured.out == ""
+
+
 def test_accountant_has_no_clip_norm_flag(capsys):
     with pytest.raises(SystemExit):
         main(["accountant", "--q", "0.1", "--sigma", "1", "--epochs", "1", "--clip-norm", "2"])
@@ -211,3 +218,16 @@ def test_dirichlet_target_dump_round_trips(tmp_path, capsys):
     assert sigma != resolved.experiment.dp.noise_multiplier  # the dump echoes the solved value
     assert again.values["dp.noise_multiplier"] == again.experiment.dp.noise_multiplier == sigma
     assert run_experiment(again.experiment, train, test).noise_multiplier == sigma
+
+
+def test_writing_a_run_leaves_the_resolved_table_as_it_was_resolved(tmp_path):
+    resolved = resolve_raw(dict(BUDGET, partition="dirichlet"))
+    before = rendered_raw(resolved)
+    train, test = load_dataset(resolved)
+    result = run_experiment(resolved.experiment, train, test)
+    resolved.write_run(result, tmp_path)
+    assert rendered_raw(resolved) == before
+    sigma = resolved.experiment.dp.noise_multiplier
+    assert resolved.values["dp.noise_multiplier"] == sigma != result.noise_multiplier
+    dumped = parse_config(tmp_path / RESOLVED_FILE)  # the dump still echoes the solved sigma
+    assert dumped.values["dp.noise_multiplier"] == result.noise_multiplier

@@ -29,6 +29,7 @@ from dpfedsim import (
     parse_config,
     partition_data,
     per_sample_gradients,
+    resolve_raw,
     run_experiment,
     run_local,
     sigma_for_target,
@@ -619,6 +620,34 @@ def test_divergence_aborts_with_partial_records():
     assert result.error is not None
     assert result.error.startswith("round ")
     assert 0 < len(result.records) < 6
+
+
+# 21 of the 28 rows train; client 7 holds 2 of them and draws no poisson batch of 1 in round 0
+FEDNOVA_ZERO_STEPS = {
+    "model.kind": "mlp",
+    "model.input_dim": "2",
+    "model.output_dim": "2",
+    "model.hidden_dim": "4",
+    "clients": "10",
+    "rounds": "3",
+    "batch_size": "1",
+    "dataset.samples": "28",
+    "sampler": "poisson",
+    "aggregation": "fednova",
+}
+
+
+def test_an_error_inside_a_round_ends_the_run_through_its_result():
+    resolved = resolve_raw(FEDNOVA_ZERO_STEPS)
+    train, test = load_dataset(resolved)
+    result = run_experiment(resolved.experiment, train, test)
+    assert result.error == "round 0: client 7 reports tau = 0 < 1"
+    assert result.records == []
+    start = init_params(resolved.experiment.model, resolved.experiment.seeds.global_seed)
+    assert result.final_params.values.tobytes() == start.values.tobytes()
+    fedavg = resolve_raw(dict(FEDNOVA_ZERO_STEPS, aggregation="fedavg"))
+    result = run_experiment(fedavg.experiment, train, test)
+    assert result.error is None and len(result.records) == 3
 
 
 def test_config_validation_errors():
