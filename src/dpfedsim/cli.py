@@ -3,10 +3,10 @@
 Subcommands: centralized, federated, accountant, sweep, report.  Runs write
 a resolved-config dump, the per-round table, and a summary into a
 timestamped, seed-stamped directory under --out (or $DPFEDSIM_OUT, default
-./runs).  Exit codes: 0 ok, 2 invalid configuration or arguments, 3 runtime
-failure, 4 I/O failure.  Any error raised inside a round ends the run with
-its partial result, written like any other, and exit 3; FedNova's refusal
-of a client that took no local step is the known case.
+./runs).  Exit codes: 0 ok, 2 a ConfigError or a flag argparse refuses, 3
+any other DpFedSimError, 4 I/O failure.  Any error raised inside a round
+ends the run with its partial result, written like any other, and exit 3;
+FedNova's refusal of a client that took no local step is the known case.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from .accountant import PrivacyParams, compose_rounds, sigma_for_target
 from .config import ResolvedConfig, load_dataset, parse_config
 from .models import save_params
-from .errors import ConfigError, DomainError, DpFedSimError, ShapeError
+from .errors import ConfigError, DpFedSimError, as_config_error
 from .federation import run_experiment
 from .sweep import render_report, run_sweep
 
@@ -119,20 +119,14 @@ def _cmd_accountant(args: argparse.Namespace) -> int:
     if (args.sigma is None) == (args.target_epsilon is None):
         raise ConfigError("give exactly one of --sigma or --target-epsilon")
     total_epochs = args.rounds * args.epochs
-    if args.target_epsilon is not None:
-        sigma = sigma_for_target(args.q, total_epochs, args.delta, args.target_epsilon)
-        print(f"resolved_sigma={sigma!r}")
-    else:
-        sigma = args.sigma
-    report = compose_rounds(
-        PrivacyParams(
-            sampling_ratio=args.q,
-            noise_multiplier=sigma,
-            epochs=args.epochs,
-            delta=args.delta,
-        ),
-        args.rounds,
-    )
+    with as_config_error():  # the flags are the configuration here
+        if args.target_epsilon is not None:
+            sigma = sigma_for_target(args.q, total_epochs, args.delta, args.target_epsilon)
+            print(f"resolved_sigma={sigma!r}")
+        else:
+            sigma = args.sigma
+        per_round = PrivacyParams(args.q, sigma, args.epochs, args.delta)
+        report = compose_rounds(per_round, args.rounds)
     print(f"epsilon={report.epsilon!r}")
     print(f"delta={report.delta!r}")
     print(f"rounds={report.rounds}")
@@ -178,10 +172,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_report(args)
-    except (ConfigError, DomainError, ShapeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DpFedSimError as exc:

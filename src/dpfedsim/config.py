@@ -7,8 +7,8 @@ fully-populated value table and an ExperimentConfig.  This module only maps
 keys onto the dataclasses, which check their own rules.  resolve_raw checks
 each rule that needs no data: the dataset source and path, and the generated
 dataset's generator, classes, samples and noise, whose spec it keeps.
-Resolution loads no data: load_dataset checks the rest, that the model takes
-the data's classes, the test split and a data file's contents, and a run
+Resolution loads no data: load_dataset checks the rest (the file parses, the
+model takes the data, the test split), each refusal a ConfigError, and a run
 with privacy.target_epsilon solves its noise multiplier from its own client
 shards.  The dump format is versioned and round-trips to an identical
 configuration.
@@ -23,7 +23,7 @@ from .aggregation import AggregationOp
 from .comm import DEFAULT_BANDWIDTH_MBPS, CommModel, default_comm, render_value, write_records
 from .data import SyntheticDatasetSpec, load_delimited, make_dataset, split_train_test
 from .dpsgd import DpConfig
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, as_config_error
 from .federation import ExperimentConfig, ExperimentResult, Seeds
 from .models import ModelSpec, SampleBatch, check_batch
 
@@ -198,10 +198,8 @@ def resolve_raw(
             raise ConfigError(f"missing required key {key!r}")
         else:
             values[key] = default(values) if callable(default) else default
-    try:
+    with as_config_error():
         experiment, dataset = _build_experiment(values)
-    except (ShapeError, DomainError) as exc:
-        raise ConfigError(str(exc)) from exc
     return ResolvedConfig(values=values, experiment=experiment, dataset=dataset)
 
 
@@ -265,11 +263,12 @@ def _build_experiment(values: dict) -> tuple[ExperimentConfig, SyntheticDatasetS
 
 def load_dataset(resolved: ResolvedConfig) -> tuple[SampleBatch, SampleBatch]:
     """(train, test) splits of a configuration, whose model must take the data:
-    generated from its spec, or read from its data file."""
+    generated from its spec, or read from its data file.  Data that cannot be
+    read or split, or that the model cannot take, is a ConfigError."""
     values, spec = resolved.values, resolved.dataset
-    full = load_delimited(values["dataset.path"]) if spec is None else make_dataset(spec)
-    try:
+    with as_config_error():
+        full = load_delimited(values["dataset.path"]) if spec is None else make_dataset(spec)
+    with as_config_error("dataset: "):
         check_batch(resolved.experiment.model, full)
-    except ShapeError as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    return split_train_test(full, values["dataset.test_fraction"], values["dataset.seed"])
+    with as_config_error():
+        return split_train_test(full, values["dataset.test_fraction"], values["dataset.seed"])

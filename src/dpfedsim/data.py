@@ -1,4 +1,4 @@
-"""Synthetic dataset generators and a small delimited-file loader."""
+"""Synthetic dataset generators and a small loader of comma-separated numbers."""
 
 from __future__ import annotations
 
@@ -98,8 +98,12 @@ def seeded_split(data: SampleBatch, fraction: float, key: int) -> tuple[SampleBa
 
 
 def load_delimited(path: str | Path) -> SampleBatch:
-    """Comma-separated table of finite values with the class label in the last column."""
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Comma-separated finite numbers, no header row, the class label last; a cell
+    that is not a number or a row of another width is a ShapeError naming the file."""
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ShapeError(f"{path}: {exc}") from exc
     if table.shape[1] < 2:
         raise ShapeError("need at least one feature column plus the label column")
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))

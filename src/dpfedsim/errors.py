@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the simulator."""
 
+from contextlib import contextmanager
+
 
 class DpFedSimError(Exception):
     """Base class for all simulator errors."""
@@ -13,10 +15,6 @@ class NumericError(DpFedSimError, ArithmeticError):
     """Non-finite values or numerical divergence."""
 
 
-class NonFiniteUpdateError(NumericError, ShapeError):
-    """Non-finite update values; still a ShapeError for callers that caught one."""
-
-
 class DomainError(DpFedSimError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
@@ -27,3 +25,13 @@ class ProtocolError(DpFedSimError, RuntimeError):
 
 class ConfigError(DpFedSimError, ValueError):
     """Invalid or contradictory experiment configuration."""
+
+
+@contextmanager
+def as_config_error(prefix: str = ""):
+    """Re-raise a ShapeError or DomainError from the block as a ConfigError with
+    prefix + its message: where a configuration meets the code that refuses it."""
+    try:
+        yield
+    except (ShapeError, DomainError) as exc:
+        raise ConfigError(prefix + str(exc)) from exc

@@ -34,7 +34,7 @@ from .dpsgd import (
     plan_for_epoch,
     private_step,
 )
-from .errors import ConfigError, DpFedSimError, ShapeError
+from .errors import ConfigError, DpFedSimError, ShapeError, as_config_error
 from .masking import DEFAULT_ENCODING, ENCODINGS, MaskedUpdate, PartitionMask
 from .masking import extract_masked_update, make_mask
 from .models import (
@@ -155,10 +155,8 @@ class ExperimentConfig:
 
     def resolved_mask_layers(self) -> tuple[str, ...]:
         """The layers to tune: mask_layers, or every layer when it is empty."""
-        try:
+        with as_config_error("mask_layers: "):
             spans = layer_spans(layer_layout(self.model), self.mask_layers or None)
-        except ShapeError as exc:
-            raise ConfigError(f"mask_layers: {exc}") from exc
         return self.mask_layers or tuple(spans)
 
 
@@ -326,18 +324,19 @@ def _select_participants(cfg: ExperimentConfig, round_index: int) -> list[int]:
 def client_shards(
     cfg: ExperimentConfig, train_data: SampleBatch
 ) -> tuple[SampleBatch | None, list[ClientShard]]:
-    """The public slice (None without one) and the client shards of a run."""
-    public, private = split_public_private(
-        train_data, cfg.public_fraction, cfg.seeds.data_seed
-    )
-    shards = partition_data(
-        private,
-        cfg.clients,
-        cfg.partition,
-        derive_seed(cfg.seeds.data_seed, STREAM_PARTITION),
-        alpha=cfg.dirichlet_alpha,
-        client_seed_root=cfg.seeds.noise_seed,
-    )
+    """The public slice (None without one) and the client shards of a run, or a ConfigError."""
+    with as_config_error():
+        public, private = split_public_private(
+            train_data, cfg.public_fraction, cfg.seeds.data_seed
+        )
+        shards = partition_data(
+            private,
+            cfg.clients,
+            cfg.partition,
+            derive_seed(cfg.seeds.data_seed, STREAM_PARTITION),
+            alpha=cfg.dirichlet_alpha,
+            client_seed_root=cfg.seeds.noise_seed,
+        )
     return public, shards
 
 
@@ -362,8 +361,9 @@ def run_experiment(
 
     Each shard's SamplerPlan is built once: local training batches by it,
     and a target_epsilon's noise multiplier and every round's epsilon charge
-    its sampling ratio.  Any DpFedSimError inside a round stops the run,
-    which returns the partial record list with the error message attached.
+    its sampling ratio.  Before round 0 a configuration is refused with
+    ConfigError alone; any DpFedSimError inside a round stops the run, which
+    returns the partial record list with the error message attached.
     """
     public, shards = client_shards(cfg, train_data)
     plans = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteUpdateError, ProtocolError, ShapeError
+from .errors import NumericError, ProtocolError, ShapeError
 from .models import Layout, ParameterVector, layer_spans
 
 DEFAULT_ENCODING = "dense-f32"
@@ -103,7 +103,7 @@ class MaskedUpdate:
         if self.indices.size and np.any(np.diff(self.indices) <= 0):
             raise ShapeError("update indices must be strictly increasing")
         if not np.all(np.isfinite(self.deltas)):
-            raise NonFiniteUpdateError("update deltas must be finite")
+            raise NumericError("update deltas must be finite")
 
     @property
     def entry_count(self) -> int:

@@ -7,7 +7,7 @@ initialisation and pretraining.  Every cell keeps the base configuration's
 resolved seeds.data, seeds.noise and dataset.seed, so all cells train on the
 same dataset, public split and partition, with the same batch shuffles and
 DP noise; the dataset is loaded once per sweep.  A cell the configuration
-refuses, or with more clients than training rows, stops the sweep before it
+refuses, its split included (a ConfigError), stops the sweep before it
 starts; a cell that fails at run time is an error row.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .comm import MB, SUMMARY_FILE, read_summary
 from .config import RESOLVED_FILE, ResolvedConfig, load_dataset, rendered_raw, resolve_raw
-from .errors import ConfigError, DpFedSimError, ShapeError
+from .errors import ConfigError, DpFedSimError
 from .federation import client_shards, run_experiment
 from .models import layer_layout, layer_spans
 from .rng import STREAM_SWEEP, derive_seed
@@ -82,7 +82,7 @@ def run_sweep(resolved: ResolvedConfig, out_dir: str | Path) -> list[SweepRow]:
         try:
             cells.append(with_overrides(resolved, overrides))
             client_shards(cells[-1].experiment, train)
-        except (ConfigError, ShapeError) as exc:
+        except ConfigError as exc:
             where = f"sweep.clients={clients} sweep.rounds={rounds} sweep.epsilon={epsilon!r}"
             raise ConfigError(f"sweep cell {where}: {exc}") from exc
     out = Path(out_dir)
@@ -135,6 +135,15 @@ def with_overrides(resolved: ResolvedConfig, overrides: list[str]) -> ResolvedCo
     return resolve_raw(rendered_raw(resolved), overrides)
 
 
+def _number(table: dict[str, str], key: str, path: Path, missing: str = "nan") -> float:
+    """table[key] as a float, `missing` when absent; one float() cannot read (a
+    summary cut short by a killed run) is an OSError naming the file and key."""
+    try:
+        return float(table.get(key, missing))
+    except ValueError:
+        raise OSError(f"{path}: {key} = {table[key]!r} is not a number") from None
+
+
 def render_report(output_dir: str | Path) -> str:
     """Tabulate every completed run found under output_dir.
 
@@ -152,20 +161,18 @@ def render_report(output_dir: str | Path) -> str:
             continue
         summary = read_summary(summary_path)
         config = read_summary(config_path)
-        full_bytes = config.get("comm.full_model_bytes", "auto")
-        bytes_up = float(summary.get("bytes_up_per_client_round", "0"))
-        if full_bytes != "auto" and float(full_bytes) > 0:
-            ratio = bytes_up / float(full_bytes)
-        else:
-            ratio = float("nan")
+        bytes_up = _number(summary, "bytes_up_per_client_round", summary_path, missing="0")
+        auto = config.get("comm.full_model_bytes", "auto") == "auto"
+        full_bytes = float("nan") if auto else _number(config, "comm.full_model_bytes", config_path)
+        ratio = bytes_up / full_bytes if full_bytes > 0 else float("nan")
         table.append(
             (
                 run_dir.name,
-                f"{float(summary.get('final_accuracy', 'nan')):.4f}",
-                f"{float(summary.get('final_epsilon', 'nan')):.4f}",
+                f"{_number(summary, 'final_accuracy', summary_path):.4f}",
+                f"{_number(summary, 'final_epsilon', summary_path):.4f}",
                 f"{bytes_up / MB:.4f}",
-                f"{float(summary.get('total_delay_s', 'nan')):.4f}",
-                f"{float(summary.get('total_wall_s', 'nan')):.4f}",
+                f"{_number(summary, 'total_delay_s', summary_path):.4f}",
+                f"{_number(summary, 'total_wall_s', summary_path):.4f}",
                 f"{ratio:.6f}",
             )
         )

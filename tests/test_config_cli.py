@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dpfedsim import ConfigError, ShapeError, parse_config, resolve_raw, run_experiment, sigma_for_target
+from dpfedsim import ConfigError, parse_config, resolve_raw, run_experiment, sigma_for_target
 from dpfedsim import NumericError, sweep
 from dpfedsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.comm import read_summary, render_rounds_table
@@ -146,7 +146,7 @@ def test_non_finite_data_file_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "row 4 holds a non-finite value" in capsys.readouterr().err
     assert not out.exists()
-    with pytest.raises(ShapeError, match="row 4"):
+    with pytest.raises(ConfigError, match="row 4"):
         load_dataset(parse_config(nan_cell_cfg(tmp_path, ["privacy.target_epsilon = 1.0"])))
 
 
@@ -394,6 +394,46 @@ def test_the_report_skips_a_run_without_its_resolved_config(tmp_path, capsys):
     assert [row.split()[0] for row in rows] == [run_dir.name]
     assert run_cli(["report", "--out", str(orphan)]) == EXIT_IO  # no completed run left
     assert "no completed runs" in capsys.readouterr().err
+
+
+def _edited_run(tmp_path, capsys, file, key, value):
+    """A finished run's directory with the line of `key` in `file` set to `value`."""
+    cfg = write_cfg(tmp_path, base=dict(MINIMAL, rounds="1"), extra=["dataset.samples = 60"])
+    out = tmp_path / "out"
+    assert run_cli(["federated", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    (run_dir,) = out.iterdir()
+    path = run_dir / file
+    lines = path.read_text().splitlines()
+    (n,) = [i for i, line in enumerate(lines) if line.partition("=")[0].strip() == key]
+    lines[n] = f"{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+    return out, path
+
+
+@pytest.mark.parametrize(
+    "file, key, value",
+    [
+        ("summary.txt", "final_accuracy", "oops"),
+        ("summary.txt", "final_accuracy", ""),  # cut short by a killed run
+        ("summary.txt", "bytes_up_per_client_round", "many"),
+        ("resolved_config.txt", "comm.full_model_bytes", "lots"),
+    ],
+    ids=["word", "empty", "bytes-up", "dump"],
+)
+def test_the_report_names_a_value_it_cannot_read(tmp_path, capsys, file, key, value):
+    out, path = _edited_run(tmp_path, capsys, file, key, value)
+    assert run_cli(["report", "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"i/o error: {path}: {key} = {value!r} is not a number" in captured.err
+    assert captured.out == ""
+
+
+def test_the_report_gives_a_nan_ratio_for_an_auto_model_size(tmp_path, capsys):
+    out, _ = _edited_run(tmp_path, capsys, "resolved_config.txt", "comm.full_model_bytes", "auto")
+    assert run_cli(["report", "--out", str(out)]) == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "traffic_ratio" and row.split()[-1] == "nan"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

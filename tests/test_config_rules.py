@@ -1,11 +1,12 @@
 """Where configurations are rejected, and the privacy budget a target buys."""
 
 import math
+import re
 
 import pytest
 
-from dpfedsim import ConfigError, DpFedSimError, parse_config, resolve_raw, run_experiment
-from dpfedsim.cli import EXIT_CONFIG, EXIT_OK, main
+from dpfedsim import ConfigError, ShapeError, federation, parse_config, resolve_raw, run_experiment
+from dpfedsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from dpfedsim.config import RESOLVED_FILE, load_dataset, rendered_raw
 
 BASE = {
@@ -113,7 +114,7 @@ def _values(case, tmp_path, table=REJECTED):
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_rejected_before_the_run(case, tmp_path):
-    with pytest.raises(DpFedSimError):
+    with pytest.raises(ConfigError):
         resolved = resolve_raw(dict(BASE, **_values(case, tmp_path)))
         train, test = load_dataset(resolved)
         run_experiment(resolved.experiment, train, test)
@@ -168,6 +169,110 @@ def test_accountant_has_no_clip_norm_flag(capsys):
     with pytest.raises(SystemExit):
         main(["accountant", "--q", "0.1", "--sigma", "1", "--epochs", "1", "--clip-norm", "2"])
     assert "--clip-norm" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- one class per refusal
+
+ROWS = ["%f,%f,%d" % (i * 0.1, -i * 0.2, i % 2) for i in range(40)]
+
+# files numpy cannot parse: each names its file in the message
+UNPARSABLE = {
+    "header-row": ["x1,x2,label", *ROWS],
+    "non-numeric-cell": [*ROWS[:5], "0.5,oops,1", *ROWS[5:]],
+    "ragged-row": [*ROWS[:5], "0.5,1", *ROWS[5:]],
+}
+
+# mlp 2-4-2 over 30 training rows: eight shards at alpha 0.01 stay out of reach
+DIRICHLET_OUT_OF_REACH = {
+    "clients": "8",
+    "dataset.samples": "30",
+    "partition": "dirichlet",
+    "dirichlet_alpha": "0.01",
+}
+
+
+def _file_source(tmp_path, rows):
+    csv = tmp_path / "rows.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    return csv, {"dataset.source": "file", "dataset.path": str(csv)}
+
+
+def _cli(command, tmp_path, values):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in dict(BASE, **values).items()))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE))
+def test_a_data_file_numpy_cannot_parse_is_a_config_error(case, tmp_path, capsys):
+    csv, values = _file_source(tmp_path, UNPARSABLE[case])
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(csv))}: "):
+        load_dataset(resolve_raw(dict(BASE, **values)))
+    code, out = _cli("federated", tmp_path, values)
+    assert code == EXIT_CONFIG
+    assert f"configuration error: {csv}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5", "nan"])
+def test_a_test_fraction_outside_the_unit_interval_is_a_config_error(fraction):
+    resolved = resolve_raw(dict(BASE, **{"dataset.test_fraction": fraction}))
+    with pytest.raises(ConfigError, match="^test_fraction must lie in \\(0, 1\\)$"):
+        load_dataset(resolved)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([str(i % 2) for i in range(40)], "need at least one feature column"),
+        ([*ROWS, "nan,0,1"], "row 41"),
+    ],
+    ids=["one-column", "nan"],
+)
+def test_a_data_file_load_dataset_refuses_is_a_config_error(rows, message, tmp_path):
+    _, values = _file_source(tmp_path, rows)
+    with pytest.raises(ConfigError, match=message):
+        load_dataset(resolve_raw(dict(BASE, **values)))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"clients": "50", "dataset.samples": "40"}, "^cannot split 30 rows across 50 clients$"),
+        (DIRICHLET_OUT_OF_REACH, "^could not produce 8 non-empty dirichlet shards in 200 draws$"),
+    ],
+    ids=["clients-over-rows", "dirichlet-out-of-reach"],
+)
+def test_a_split_the_data_cannot_give_is_refused_before_round_0(values, message, tmp_path, capsys):
+    resolved = resolve_raw(dict(BASE, **values))
+    train, test = load_dataset(resolved)
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(resolved.experiment, train, test)
+    for command in ("federated", "sweep"):
+        code, out = _cli(command, tmp_path, values)
+        assert code == EXIT_CONFIG, command
+        assert "configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_shape_error_outside_a_round_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def planted(*args):
+        raise ShapeError("planted layout bug")
+
+    monkeypatch.setattr(federation, "initial_params", planted)
+    code, out = _cli("federated", tmp_path, {})
+    assert code == EXIT_RUNTIME
+    assert "runtime error: planted layout bug" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_accountant_ratio_past_one_is_a_config_error(capsys):
+    assert main(["accountant", "--q", "1.5", "--sigma", "1", "--epochs", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error: sampling_ratio must be in (0, 1], got 1.5" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- budget

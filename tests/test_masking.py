@@ -204,7 +204,7 @@ def test_layout_mismatch_rejected():
 def test_update_invariants():
     with pytest.raises(ShapeError):
         MaskedUpdate(0, 0, np.array([3, 2]), np.array([0.1, 0.2]), 1, 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(NumericError):
         MaskedUpdate(0, 0, np.array([1, 2]), np.array([0.1, np.inf]), 1, 1)
 
 
