@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ShapeError
-from .masking import DEFAULT_ENCODING, HEADER, INDEX, VALUE, PartitionMask
+from .masking import DEFAULT_ENCODING, ENCODINGS, HEADER, INDEX, VALUE, PartitionMask
 from .models import ModelSpec, parameter_count
 
 MB = 1_000_000  # metrics use SI megabytes
@@ -27,11 +27,16 @@ _SUMMARY_VERSION = "# dpfedsim-summary v1"
 
 @dataclass(frozen=True)
 class CommModel:
-    """Link model: bandwidth, full-model upload size, fixed per-message cost."""
+    """Link model, every comm.* setting: bandwidth, full-model upload size,
+    fixed per-message cost, whether the broadcast is masked too, the modeled
+    compute seconds per coordinate and the upload's wire encoding."""
 
     bandwidth_mbps: float
     full_model_bytes: float
     per_message_overhead_bytes: float = 0.0
+    masked_broadcast: bool = False
+    seconds_per_coord: float = 1e-9
+    encoding: str = DEFAULT_ENCODING
 
     def __post_init__(self) -> None:
         if not 0 < self.bandwidth_mbps < math.inf:  # every bound here fails NaN too
@@ -40,6 +45,10 @@ class CommModel:
             raise ShapeError("full_model_bytes must be > 0 and finite")
         if not 0 <= self.per_message_overhead_bytes < math.inf:
             raise ShapeError("overhead must be >= 0 and finite")
+        if self.encoding not in ENCODINGS:
+            raise ShapeError(f"unknown encoding {self.encoding!r}, expected {ENCODINGS}")
+        if not self.seconds_per_coord >= 0:
+            raise ShapeError("seconds_per_coord must be >= 0")
 
 
 def default_comm(spec: ModelSpec) -> CommModel:
@@ -75,10 +84,10 @@ _COLUMNS = {
 }
 
 
-def traffic_per_round(
-    mask: PartitionMask, comm: CommModel, encoding: str = DEFAULT_ENCODING
-) -> float:
-    """Upstream bytes per client per round for a full masked update; the one traffic model."""
+def traffic_per_round(mask: PartitionMask, comm: CommModel, encoding: str | None = None) -> float:
+    """Upstream bytes per client per round for a full masked update, in the
+    link's encoding unless given another; the one traffic model."""
+    encoding = comm.encoding if encoding is None else encoding
     if encoding == "dense-f32":
         payload = mask.trainable_fraction * comm.full_model_bytes
     elif encoding == "sparse-idx32-f32":
@@ -97,22 +106,17 @@ def delay_seconds(nbytes: float, comm: CommModel) -> float:
 
 
 def round_costs(
-    mask: PartitionMask,
-    comm: CommModel,
-    sizes: list[int],
-    encoding: str,
-    masked_broadcast: bool,
-    local_epochs: int,
-    seconds_per_coord: float,
+    mask: PartitionMask, comm: CommModel, sizes: list[int], local_epochs: int
 ) -> tuple[float, float, float, float]:
     """A round's cost fields of RoundRecord, in field order, for selected clients
-    of sizes n_k: bytes up (traffic_per_round) and down (the same when
-    masked_broadcast, else the full model) per client, the upload delay, and
-    wall_s = down delay + max n_k * E * (d + d_t) * seconds_per_coord + up delay."""
-    up = traffic_per_round(mask, comm, encoding)
-    down = up if masked_broadcast else comm.full_model_bytes + comm.per_message_overhead_bytes
+    of sizes n_k over the link comm: bytes up (traffic_per_round) and down (the
+    same when comm.masked_broadcast, else the full model) per client, the
+    upload delay, and wall_s = down delay
+    + max n_k * E * (d + d_t) * comm.seconds_per_coord + up delay."""
+    up = traffic_per_round(mask, comm)
+    down = up if comm.masked_broadcast else comm.full_model_bytes + comm.per_message_overhead_bytes
     coords = mask.total_count + mask.trainable_count
-    compute_s = max(n_k * local_epochs * coords * seconds_per_coord for n_k in sizes)
+    compute_s = max(n_k * local_epochs * coords * comm.seconds_per_coord for n_k in sizes)
     delay_up = delay_seconds(up, comm)
     return up, down, delay_up, delay_seconds(down, comm) + compute_s + delay_up
 

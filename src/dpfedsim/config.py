@@ -80,9 +80,9 @@ SCHEMA: dict[str, tuple[str, object, str | None]] = {
     "comm.bandwidth_mbps": ("float", DEFAULT_BANDWIDTH_MBPS, "comm.bandwidth_mbps"),
     "comm.full_model_bytes": ("str", "auto", "comm.full_model_bytes"),
     "comm.overhead_bytes": ("float", CommModel.per_message_overhead_bytes, "comm.per_message_overhead_bytes"),
-    "comm.masked_broadcast": ("bool", ExperimentConfig.masked_broadcast, "masked_broadcast"),
-    "comm.seconds_per_coord": ("float", ExperimentConfig.seconds_per_coord, "seconds_per_coord"),
-    "comm.encoding": ("str", ExperimentConfig.encoding, "encoding"),
+    "comm.masked_broadcast": ("bool", CommModel.masked_broadcast, "comm.masked_broadcast"),
+    "comm.seconds_per_coord": ("float", CommModel.seconds_per_coord, "comm.seconds_per_coord"),
+    "comm.encoding": ("str", CommModel.encoding, "comm.encoding"),
     "sweep.clients": ("str", "", None),
     "sweep.rounds": ("str", "", None),
     "sweep.epsilon": ("str", "", None),

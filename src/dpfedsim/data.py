@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,12 +99,17 @@ def seeded_split(data: SampleBatch, fraction: float, key: int) -> tuple[SampleBa
 
 
 def load_delimited(path: str | Path) -> SampleBatch:
-    """Comma-separated finite numbers, no header row, the class label last; a cell
-    that is not a number or a row of another width is a ShapeError naming the file."""
+    """Comma-separated finite numbers, no header row, the class label last; a file
+    with no rows, a cell that is not a number or a row of another width is a
+    ShapeError naming the file."""
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", refused below
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ShapeError(f"{path}: {exc}") from exc
+    if table.size == 0:
+        raise ShapeError(f"{path}: holds no data rows")
     if table.shape[1] < 2:
         raise ShapeError("need at least one feature column plus the label column")
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))

@@ -16,8 +16,8 @@ from . import lane
 from .errors import NumericError, ShapeError
 from .masking import PartitionMask
 from .models import ModelSpec, ParameterVector, SampleBatch, per_sample_gradients
-from .rng import STREAM_POISSON, STREAM_SHUFFLE, derive_seed, generator, standard_normal, work_buffer
-from .rng import box_muller
+from .rng import STREAM_POISSON, STREAM_SHUFFLE, box_muller_rows, derive_seed, generator
+from .rng import standard_normal, work_buffer
 
 OPTIMIZERS = ("sgd", "adam")
 SAMPLER_MODES = ("shuffle", "poisson")
@@ -206,20 +206,21 @@ def private_step(
     The result is one of its buffers, overwritten by the next step given the
     same workspace.  ``normals``, noise_seed's standard normals drawn
     beforehand (see noisy_mean), are used in place of a draw.  Otherwise, on
-    a wide mask, the noise is drawn on the helper lane while the clip takes
-    its row norms, once the gradients are formed; the draw's keys are not
-    the clip's.
+    a wide mask, the noise (row 0 of rng.box_muller_rows over noise_seed's
+    generator, standard_normal's bytes) is drawn on the helper lane while the
+    clip takes its row norms, once the gradients are formed; the draw's keys
+    are not the clip's.
     """
     width = mask.trainable_count
     grads = per_sample_gradients(spec, params, batch, mask.selected_layers, work=work)
     draw = None
     if normals is None and dp.noise_multiplier != 0.0 and lane.uses_lane(width):
-        draw = lane.on_lane(box_muller, generator(noise_seed), width, work)
+        draw = lane.on_lane(box_muller_rows, (generator(noise_seed),), width, work)
     try:
         clipped = clip_per_sample(grads, dp.clip_norm, work=work)
     finally:
         if draw is not None:
-            normals = draw.result()
+            normals = draw.result()[0]
     return noisy_mean(
         clipped, dp.noise_multiplier, dp.clip_norm, noise_seed, work=work, normals=normals
     )

@@ -35,8 +35,7 @@ from .dpsgd import (
     private_step,
 )
 from .errors import ConfigError, DpFedSimError, ShapeError, as_config_error
-from .masking import DEFAULT_ENCODING, ENCODINGS, MaskedUpdate, PartitionMask
-from .masking import extract_masked_update, make_mask
+from .masking import MaskedUpdate, PartitionMask, extract_masked_update, make_mask
 from .models import (
     ModelSpec,
     ParameterVector,
@@ -111,10 +110,7 @@ class ExperimentConfig:
     pretrain_epochs: int = 0
     pretrain_lr: float = 0.1
     public_fraction: float = 0.0
-    comm: CommModel | None = None
-    masked_broadcast: bool = False
-    seconds_per_coord: float = 1e-9
-    encoding: str = DEFAULT_ENCODING
+    comm: CommModel | None = None  # None means default_comm(model)
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -137,8 +133,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown partition scheme {self.partition!r}")
         if self.sampler_mode not in SAMPLER_MODES:
             raise ConfigError(f"unknown sampler {self.sampler_mode!r}, expected {SAMPLER_MODES}")
-        if self.encoding not in ENCODINGS:
-            raise ConfigError(f"unknown encoding {self.encoding!r}, expected {ENCODINGS}")
         if self.partition == "dirichlet" and not self.dirichlet_alpha > 0:
             raise ConfigError("dirichlet_alpha must be > 0")
         if not (0.0 <= self.public_fraction < 1.0):
@@ -149,8 +143,6 @@ class ExperimentConfig:
             raise ConfigError("pretrain_lr must be > 0")
         if not self.model.is_classifier:
             raise ConfigError("federated experiments require a classification model")
-        if not self.seconds_per_coord >= 0:
-            raise ConfigError("seconds_per_coord must be >= 0")
         self.resolved_mask_layers()  # raises on an unknown layer name
 
     def resolved_mask_layers(self) -> tuple[str, ...]:
@@ -399,8 +391,6 @@ def run_experiment(
             _client_epsilon(cfg, plans[k], participation[k]) for k in range(cfg.clients)
         )
         sizes = [shards[k].n_k for k in selected]
-        costs = round_costs(
-            mask, comm, sizes, cfg.encoding, cfg.masked_broadcast, cfg.local_epochs, cfg.seconds_per_coord
-        )
+        costs = round_costs(mask, comm, sizes, cfg.local_epochs)
         records.append(RoundRecord(t, metrics.loss, metrics.accuracy, epsilon, *costs, len(selected)))
     return ExperimentResult(records, w, cfg.dp.noise_multiplier, error)

@@ -72,17 +72,9 @@ def work_buffer(work: dict | None, key, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def standard_normal(key: int, n: int, work: dict | None = None) -> np.ndarray:
-    """Draw ``n`` iid standard normals from stream ``key`` via Box-Muller.
-
-    The draw is ``box_muller(generator(key), n, work)``.
-    """
-    return box_muller(generator(key), n, work)
-
-
-def box_muller(gen: np.random.Generator, n: int, work: dict | None = None) -> np.ndarray:
-    """Turn ``n`` pairs' worth of ``gen``'s uniforms into ``n`` standard
-    normals: the one-row case of box_muller_rows."""
-    return box_muller_rows((gen,), n, work)[0]
+    """Draw ``n`` iid standard normals from stream ``key`` via Box-Muller:
+    row 0 of ``box_muller_rows((generator(key),), n, work)``."""
+    return box_muller_rows((generator(key),), n, work)[0]
 
 
 def box_muller_rows(

@@ -6,6 +6,7 @@ lines as they complete.
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -39,7 +40,8 @@ from dpfedsim import (
     run_local,
     sigma_for_target,
 )
-from dpfedsim.comm import MB, CommModel, delay_seconds, render_rounds_table, traffic_per_round
+from dpfedsim.comm import MB, CommModel, default_comm, delay_seconds, render_rounds_table
+from dpfedsim.comm import traffic_per_round
 from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
 from dpfedsim.masking import PartitionMask
@@ -207,7 +209,7 @@ def test_criterion_06_frozen_coordinate_conservation():
                 mask_layers=("head.weight", "head.bias"),
                 aggregation=AggregationOp(["fedavg", "fednova"][int(rng.integers(0, 2))]),
                 seeds=Seeds(case, case + 1, case + 2),
-                seconds_per_coord=0.0,
+                comm=replace(default_comm(spec), seconds_per_coord=0.0),
             )
             w0 = init_params(spec, cfg.seeds.global_seed)
             mask = make_mask(w0.layout, ["head.weight", "head.bias"])
@@ -285,7 +287,7 @@ def test_criterion_08_fednova_identity_and_parity():
                 pretrain_lr=0.3,
                 public_fraction=0.3,
                 seeds=Seeds(5, 6, 7),
-                seconds_per_coord=0.0,
+                comm=replace(default_comm(spec), seconds_per_coord=0.0),
             )
             accs[kind] = run_experiment(cfg, train, test).records[-1].global_accuracy
         assert abs(accs["fedavg"] - accs["fednova"]) <= 0.1
@@ -324,7 +326,7 @@ def test_criterion_09_selective_beats_full_under_privacy():
                     pretrain_lr=0.5,
                     public_fraction=0.5,
                     seeds=Seeds(seed, seed + 1, seed + 2),
-                    seconds_per_coord=0.0,
+                    comm=replace(default_comm(spec), seconds_per_coord=0.0),
                 )
                 result = run_experiment(cfg, train, test)
                 assert result.error is None

@@ -1,6 +1,6 @@
 """Traffic/delay cost model and the metrics sink formats."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -134,7 +134,13 @@ def test_round_costs_are_the_inline_formulas_bit_for_bit(
         for comm in links:
             for sizes in ([157], [160, 157, 13], [1, 2, 3, 1001]):
                 args = (mask, comm, sizes, encoding, masked_broadcast, local_epochs, seconds_per_coord)
-                got = round_costs(*args)
+                link = replace(
+                    comm,
+                    encoding=encoding,
+                    masked_broadcast=masked_broadcast,
+                    seconds_per_coord=seconds_per_coord,
+                )
+                got = round_costs(mask, link, sizes, local_epochs)
                 assert [x.hex() for x in got] == [x.hex() for x in _inline_costs(*args)]
 
 

@@ -84,9 +84,9 @@ FIELDS = {
     "comm.bandwidth_mbps": ("10.0", 10.0, lambda e, d: e.comm.bandwidth_mbps, {}),
     "comm.full_model_bytes": ("1000", 1000.0, lambda e, d: e.comm.full_model_bytes, {}),
     "comm.overhead_bytes": ("12", 12.0, lambda e, d: e.comm.per_message_overhead_bytes, {}),
-    "comm.masked_broadcast": ("true", True, lambda e, d: e.masked_broadcast, {}),
-    "comm.seconds_per_coord": ("2e-09", 2e-9, lambda e, d: e.seconds_per_coord, {}),
-    "comm.encoding": ("sparse-idx32-f32", "sparse-idx32-f32", lambda e, d: e.encoding, {}),
+    "comm.masked_broadcast": ("true", True, lambda e, d: e.comm.masked_broadcast, {}),
+    "comm.seconds_per_coord": ("2e-09", 2e-9, lambda e, d: e.comm.seconds_per_coord, {}),
+    "comm.encoding": ("sparse-idx32-f32", "sparse-idx32-f32", lambda e, d: e.comm.encoding, {}),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import pytest
 
@@ -213,6 +214,20 @@ def test_a_data_file_numpy_cannot_parse_is_a_config_error(case, tmp_path, capsys
     code, out = _cli("federated", tmp_path, values)
     assert code == EXIT_CONFIG
     assert f"configuration error: {csv}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["zero-byte", "newline-only"])
+def test_an_empty_data_file_is_a_config_error_naming_it(text, tmp_path, capsys):
+    csv, values = _file_source(tmp_path, [])
+    csv.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" included
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(csv))}: holds no data rows$"):
+            load_dataset(resolve_raw(dict(BASE, **values)))
+        code, out = _cli("federated", tmp_path, values)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {csv}: holds no data rows\n"
     assert not out.exists()
 
 

@@ -35,7 +35,7 @@ from dpfedsim import (
     sigma_for_target,
 )
 from dpfedsim import dpsgd, federation, models
-from dpfedsim.comm import render_rounds_table
+from dpfedsim.comm import default_comm, render_rounds_table
 from dpfedsim.config import load_dataset
 from dpfedsim.data import SyntheticDatasetSpec, make_dataset, split_train_test
 from dpfedsim.rng import STREAM_NOISE, derive_seed
@@ -61,7 +61,7 @@ def base_config(**kw):
         batch_size=8,
         dp=DpConfig(clip_norm=1.0, noise_multiplier=0.5, learning_rate=0.1),
         seeds=Seeds(0, 1, 2),
-        seconds_per_coord=0.0,
+        comm=replace(default_comm(MLP), seconds_per_coord=0.0),
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -692,7 +692,13 @@ def test_masked_broadcast_flag_shrinks_downstream():
     mask_layers = ("head.weight", "head.bias")
     dense = run_experiment(base_config(mask_layers=mask_layers, rounds=1), train, test)
     masked = run_experiment(
-        base_config(mask_layers=mask_layers, rounds=1, masked_broadcast=True), train, test
+        base_config(
+            mask_layers=mask_layers,
+            rounds=1,
+            comm=replace(default_comm(MLP), seconds_per_coord=0.0, masked_broadcast=True),
+        ),
+        train,
+        test,
     )
     assert dense.records[0].bytes_down_per_client == 4.0 * 22
     assert masked.records[0].bytes_down_per_client == dense.records[0].bytes_up_per_client

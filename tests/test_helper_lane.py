@@ -163,7 +163,7 @@ def test_a_nan_gradient_names_its_sample_with_the_lane_on(lane_on):
     with pytest.raises(NumericError, match="sample 6"):
         private_step(WIDE, w, batch, mask, dp, 11, {})
     # the expansion's half, then the draw, which ran beside the failing clip
-    assert lane_on == ["expand", "box_muller"]
+    assert lane_on == ["expand", "box_muller_rows"]
     # and the lane serves the next step
     w, batch, mask, dp = _wide_step_inputs()
     assert np.isfinite(private_step(WIDE, w, batch, mask, dp, 11, {})).all()

@@ -12,7 +12,14 @@ must give identical bytes:
 - run_local: every client's round-0 update (indices, deltas, tau, n_k) from
   the run's own shards, sampler plans, initial parameters and mask;
 - run_experiment: the rendered round table and the final parameters, as
-  perfbench/digests.json pins them.
+  perfbench/digests.json pins them;
+- private_step: every private step the first client takes in round 0, at
+  the parameters, batch and noise key run_local gave it, in one workspace;
+  each step draws its own noise, as a step run_local hands no normals does;
+- clip_per_sample: the per-sample matrices of those steps, each clipped at
+  the workload's dp.clip_norm and again at half the smallest non-zero row
+  norm among them, so that every non-zero row is scaled and both sides of
+  the clip's copy-then-scale cut-off run; one workspace.
 
 It then times the stage alone (set-up excluded) in --blocks blocks, each
 running A and B once, A first in even blocks and B first in odd ones, and
@@ -38,11 +45,12 @@ import sys
 import time
 from pathlib import Path
 
-# numpy is first imported with a checkout, after these are set
+# numpy reads these when it is first imported, on the line below them
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = ("run_local", "run_experiment")
+STAGES = ("run_local", "run_experiment", "private_step", "clip_per_sample")
 
 
 def load_module(name: str, path: Path, package_dir: Path | None = None):
@@ -64,36 +72,92 @@ def load_checkout(name: str, checkout: Path):
 
 
 def prepare(pkg, raw: dict[str, str], stage: str):
-    """(run, digest): run() executes the stage once on prepared inputs, and
-    digest(output) is the sha256 of what it produced."""
+    """run(visit=None) executes the stage once on prepared inputs and, given
+    visit, hands it each output (bytes or an array) before anything
+    overwrites it."""
     config, federation = pkg.config, pkg.federation
     resolved = config.resolve_raw(raw)
     train, test = config.load_dataset(resolved)
     cfg = resolved.experiment
     if stage == "run_experiment":
-        def digest(result) -> str:
-            table = pkg.comm.render_rounds_table(result.records)
-            return hashlib.sha256(table.encode() + result.final_params.values.tobytes()).hexdigest()
+        def run(visit=None):
+            result = federation.run_experiment(cfg, train, test)
+            if visit is not None:
+                visit(pkg.comm.render_rounds_table(result.records).encode())
+                visit(result.final_params.values)
 
-        return (lambda: federation.run_experiment(cfg, train, test)), digest
+        return run
     public, shards = federation.client_shards(cfg, train)
     plans = [pkg.SamplerPlan(cfg.sampler_mode, min(cfg.batch_size, s.n_k), s.n_k, s.rng_seed) for s in shards]
     w = federation.initial_params(cfg, public)
     mask = pkg.make_mask(pkg.layer_layout(cfg.model), cfg.resolved_mask_layers())
+    if stage == "run_local":
+        def run(visit=None):
+            updates = [
+                federation.run_local(cfg.model, shard, w, mask, cfg.dp, plan, cfg.local_epochs, 0)
+                for shard, plan in zip(shards, plans)
+            ]
+            if visit is not None:
+                for u in updates:
+                    visit(u.indices)
+                    visit(u.deltas)
+                    visit(f"{u.tau},{u.n_k};".encode())
 
-    def run():
-        return [
-            federation.run_local(cfg.model, shard, w, mask, cfg.dp, plan, cfg.local_epochs, 0)
-            for shard, plan in zip(shards, plans)
-        ]
+        return run
+    steps, grads = first_client_steps(pkg, cfg, shards[0], plans[0], w, mask)
+    dpsgd = pkg.dpsgd
+    if stage == "private_step":
+        def run(visit=None):
+            work: dict = {}
+            for params, batch, key in steps:
+                out = dpsgd.private_step(cfg.model, params, batch, mask, cfg.dp, key, work)
+                if visit is not None:
+                    visit(out)
 
-    def digest(updates) -> str:
-        h = hashlib.sha256()
-        for u in updates:
-            h.update(u.indices.tobytes() + u.deltas.tobytes() + f"{u.tau},{u.n_k};".encode())
-        return h.hexdigest()
+        return run
+    row_norms = np.concatenate([np.linalg.norm(g, axis=1) for g in grads])
+    clip_norms = (cfg.dp.clip_norm, 0.5 * row_norms[row_norms > 0].min())
 
-    return run, digest
+    def run(visit=None):
+        work: dict = {}
+        for g in grads:
+            for clip_norm in clip_norms:
+                out = dpsgd.clip_per_sample(g, clip_norm, work=work)
+                if visit is not None:
+                    visit(out)
+
+    return run
+
+
+def first_client_steps(pkg, cfg, shard, plan, w, mask):
+    """(steps, grads) of shard's round-0 run_local: each private step's
+    (parameters, batch, noise key), and a copy of each per-sample matrix it
+    clipped, in its layout."""
+    federation, dpsgd = pkg.federation, pkg.dpsgd
+    real_step, real_clip = federation.private_step, dpsgd.clip_per_sample
+    steps, grads = [], []
+
+    def step(spec, params, batch, mask, dp, noise_seed, work, **kwargs):
+        steps.append((params.copy(), batch, noise_seed))
+        return real_step(spec, params, batch, mask, dp, noise_seed, work, **kwargs)
+
+    def clip(g, clip_norm, work=None):
+        grads.append(g.copy(order="K"))
+        return real_clip(g, clip_norm, work=work)
+
+    federation.private_step, dpsgd.clip_per_sample = step, clip
+    try:
+        federation.run_local(cfg.model, shard, w, mask, cfg.dp, plan, cfg.local_epochs, 0)
+    finally:
+        federation.private_step, dpsgd.clip_per_sample = real_step, real_clip
+    return steps, grads
+
+
+def digest(run) -> str:
+    """sha256 of everything one run of the stage hands its visitor."""
+    h = hashlib.sha256()
+    run(lambda out: h.update(out if isinstance(out, bytes) else out.tobytes()))
+    return h.hexdigest()
 
 
 def timed(run) -> float:
@@ -117,8 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     raw = workloads.seeded(workloads.WORKLOADS[args.workload], workloads.REFERENCE_SEED)
     sides = []
     for name, checkout in (("dpfedsim_a", args.a), ("dpfedsim_b", args.b)):
-        run, digest = prepare(load_checkout(name, checkout.resolve()), raw, args.stage)
-        sides.append((run, digest(run())))
+        run = prepare(load_checkout(name, checkout.resolve()), raw, args.stage)
+        sides.append((run, digest(run)))
     (run_a, digest_a), (run_b, digest_b) = sides
     line = {"workload": args.workload, "stage": args.stage, "blocks": args.blocks}
     line["same_bytes"] = digest_a == digest_b
